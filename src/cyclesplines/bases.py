@@ -20,15 +20,14 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import oracle
-from .errors import BasisStructureError, KingPreconditionError
-from .numtheory import lcm, mod_inverse, solve_congruence_pair
+from .errors import KingPreconditionError
+from .numtheory import congruence_step, lcm, solve_congruence_pair
 from .spline_core import (
     EdgeLabeledCycle,
     Spline,
     SplineLike,
-    is_spline,
-    leading_zeros,
-    spline_entries,
+    _check_flow_up_family,
+    _trusted_spline,
     trivial_spline,
 )
 
@@ -58,18 +57,37 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     via the canonical representative of :func:`solve_congruence_pair`.  The
     second congruence is what keeps the next step solvable, so the chain
     never raises.  k = 0 returns the all-ones spline.
+
+    The moduli of step i do not depend on k, so the chain costs O(n) number
+    theory per cycle (see :func:`congruence_step`) and then one multiply,
+    or a reset to the second modulus, per entry.
     """
     n = cycle.n
     if not 0 <= k <= n - 1:
         raise IndexError(f"k must be in [0, {n - 1}], got {k}")
+    return _triangulation_element(cycle, _triangulation_steps(cycle), k)
+
+
+def _triangulation_steps(cycle: EdgeLabeledCycle) -> list[tuple[int, int, int, int]]:
+    # slot i - 2 holds (label(i - 1), suffix_gcd(i), g, mult) for the step
+    # that produces entry i from entry i - 1, for i in [2, n]
+    moduli = zip(cycle.labels, cycle._suffix_gcds[1:])
+    return [(a, b, *congruence_step(a, b)) for a, b in moduli]
+
+
+def _triangulation_element(
+    cycle: EdgeLabeledCycle, steps: list[tuple[int, int, int, int]], k: int
+) -> Spline:
     if k == 0:
-        return trivial_spline(n)
+        return trivial_spline(cycle.n)
     h = smallest_leading_entry(cycle, k)
     entries = [0] * k + [h]
-    for i in range(k + 2, n + 1):
-        h = solve_congruence_pair(h, cycle.label(i - 1), cycle.suffix_gcd(i))
+    for a, b, g, mult in steps[k:]:
+        if h % g:
+            solve_congruence_pair(h, a, b)  # raises NoSolutionError for this step
+        h = h * mult if mult else b
         entries.append(h)
-    return Spline(tuple(entries))
+    return _trusted_spline(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -84,22 +102,8 @@ class FlowUpBasis:
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
             raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        n = self.cycle.n
-        if len(self.elements) != n:
-            raise BasisStructureError(
-                f"expected {n} elements, got {len(self.elements)}"
-            )
-        for k, element in enumerate(self.elements):
-            if len(element) != n:
-                raise BasisStructureError(
-                    f"element {k} has {len(element)} entries, expected {n}"
-                )
-            if leading_zeros(element) != k:
-                raise BasisStructureError(
-                    f"element {k} must have exactly {k} leading zeros, "
-                    f"found {leading_zeros(element)}"
-                )
+        elements = _check_flow_up_family(self.elements, self.cycle.n, "element")
+        object.__setattr__(self, "elements", elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -121,10 +125,11 @@ class FlowUpBasis:
 
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """The flow-up basis whose elements are :func:`triangulation_spline` for
-    k = 0..n - 1."""
+    k = 0..n - 1, sharing one table of chain steps."""
+    steps = _triangulation_steps(cycle)
     return FlowUpBasis(
         cycle,
-        tuple(triangulation_spline(cycle, k) for k in range(cycle.n)),
+        tuple(_triangulation_element(cycle, steps, k) for k in range(cycle.n)),
         "triangulation",
     )
 
@@ -142,19 +147,23 @@ def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     Raises :class:`KingPreconditionError` when gcd(a, b) != 1.
     """
     n = cycle.n
-    a, b = cycle.label(n - 1), cycle.label(n)
+    a, b, inv = _king_tail(cycle)
+    elements = [trivial_spline(n)]
+    for i, li in enumerate(cycle.labels[: n - 2], start=1):
+        elements.append(_trusted_spline((0,) * i + (li,) * (n - 1 - i) + (li * b * inv,)))
+    elements.append(_trusted_spline((0,) * (n - 1) + (a * b,)))
+    return FlowUpBasis(cycle, tuple(elements), "king")
+
+
+def _king_tail(cycle: EdgeLabeledCycle) -> tuple[int, int, int]:
+    """(a, b, inv) of :func:`king_basis`, checking its precondition."""
+    a, b = cycle.labels[-2:]
     g = math.gcd(a, b)
     if g != 1:
         raise KingPreconditionError(
             f"the last two edge labels must be coprime: gcd({a}, {b}) = {g}"
         )
-    inv = mod_inverse(b, a)
-    elements = [trivial_spline(n)]
-    for i in range(1, n - 1):
-        li = cycle.label(i)
-        elements.append(Spline((0,) * i + (li,) * (n - 1 - i) + (li * b * inv,)))
-    elements.append(Spline((0,) * (n - 1) + (a * b,)))
-    return FlowUpBasis(cycle, tuple(elements), "king")
+    return a, b, pow(b, -1, a)
 
 
 @dataclass(frozen=True)
@@ -196,24 +205,7 @@ def check_flow_up_basis(
     leading entry is plus or minus :func:`smallest_leading_entry`.
     """
     n = cycle.n
-    cands = [Spline(spline_entries(c)) for c in candidates]
-    if len(cands) != n:
-        raise BasisStructureError(f"expected {n} candidates, got {len(cands)}")
-    for i, cand in enumerate(cands):
-        if len(cand) != n:
-            raise BasisStructureError(
-                f"candidate {i} has {len(cand)} entries, expected {n}"
-            )
-        if leading_zeros(cand) != i:
-            raise BasisStructureError(
-                f"candidate {i} must have exactly {i} leading zeros, "
-                f"found {leading_zeros(cand)}"
-            )
-        check = is_spline(cycle, cand)
-        if not check:
-            raise BasisStructureError(
-                f"candidate {i} is not a spline: {check.violations[0].describe()}"
-            )
+    cands = _check_flow_up_family(candidates, n, "candidate", cycle)
     defects = []
     first = cands[0].entries
     if not (all(e == 1 for e in first) or all(e == -1 for e in first)):

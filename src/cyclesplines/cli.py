@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .bases import (
     FlowUpBasis,
@@ -45,6 +45,7 @@ from .oracle import (
     verify_triangulated_extension,
 )
 from .ring_algebra import (
+    decompose,
     king_multiplication_table,
     king_product,
     product_in_basis,
@@ -53,6 +54,7 @@ from .ring_algebra import (
 from .spline_core import (
     EdgeLabeledCycle,
     EdgeLabeledGraph,
+    GraphLike,
     Spline,
     is_spline,
     labeled_edges,
@@ -67,9 +69,6 @@ EXIT_BUDGET = 3
 
 class _InputError(Exception):
     """Malformed command input; reported on stderr with exit code 2."""
-
-
-GraphLike = Union[EdgeLabeledCycle, EdgeLabeledGraph]
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -227,8 +226,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    from .ring_algebra import decompose
-
     cycle = _require_cycle(_load_target(args), "decompose")
     _budget_for(args, cycle)
     values = _parse_labels(args, cycle.n)
@@ -442,8 +439,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
+    code = EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; the output is
+        # moot, so point stdout at devnull to keep the exit flush quiet
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -453,6 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CycleSplinesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    return code
 
 
 if __name__ == "__main__":

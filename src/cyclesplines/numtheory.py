@@ -4,6 +4,9 @@ All functions work on arbitrary-precision Python ints and return the least
 non-negative residue whenever a canonical representative is required.  The
 representative returned by :func:`solve_congruence_pair` is pinned: basis
 entries are built from it, so changing it would silently change outputs.
+It comes from :func:`congruence_step`, the part of the system that depends
+on the moduli alone, which the triangulation chain computes once per edge
+and applies to every entry it produces.
 """
 
 from __future__ import annotations
@@ -48,17 +51,32 @@ def mod_inverse(a: int, m: int) -> int:
         raise ValueError(f"modulus must be positive, got {m}")
     if m == 1:
         return 0
-    g, s, _ = egcd(a, m)
-    if g != 1:
-        raise NotInvertibleError(f"{a} is not invertible modulo {m}: gcd is {g}")
-    return s % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(
+            f"{a} is not invertible modulo {m}: gcd is {math.gcd(a, m)}"
+        ) from None
+
+
+def congruence_step(a: int, b: int) -> tuple[int, int]:
+    """The part of x = y (mod a), x = 0 (mod b) that does not depend on y.
+
+    Returns (g, mult) with g = gcd(a, b).  For every y divisible by g the
+    pinned solution is ``y * mult``, or ``b`` itself when ``mult`` is 0,
+    which happens exactly when a // g == 1.
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError(f"moduli must be positive, got ({a}, {b})")
+    g = math.gcd(a, b)
+    return g, (b // g) * pow(b // g, -1, a // g)
 
 
 def solve_congruence_pair(y: int, a: int, b: int) -> int:
     """Solve x = y (mod a), x = 0 (mod b), returning the canonical solution.
 
     With g = gcd(a, b) the system is solvable iff g divides y.  The
-    representative is pinned:
+    representative is pinned and comes from :func:`congruence_step`:
 
     * if a // g == 1 the answer is ``b`` itself (even when y == 0);
     * otherwise it is ``y * (b // g) * inv`` where ``inv`` is the least
@@ -66,14 +84,10 @@ def solve_congruence_pair(y: int, a: int, b: int) -> int:
 
     Raises :class:`NoSolutionError` when g does not divide y.
     """
-    if a <= 0 or b <= 0:
-        raise ValueError(f"moduli must be positive, got ({a}, {b})")
-    g = math.gcd(a, b)
+    g, mult = congruence_step(a, b)
     if y % g != 0:
         raise NoSolutionError(
             f"x = {y} (mod {a}), x = 0 (mod {b}) has no solution: "
             f"gcd({a}, {b}) = {g} does not divide {y}"
         )
-    if a // g == 1:
-        return b
-    return y * (b // g) * mod_inverse(b // g, a // g)
+    return y * mult if mult else b

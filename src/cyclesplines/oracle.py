@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import (
-    BasisStructureError,
-    BudgetExceededError,
-    InvariantViolationError,
-)
+from .errors import BudgetExceededError, InvariantViolationError
 from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
@@ -25,6 +21,7 @@ from .spline_core import (
     GraphLike,
     Spline,
     SplineLike,
+    _check_flow_up_family,
     is_spline,
     leading_zeros,
     spline_entries,
@@ -266,23 +263,7 @@ def check_basis_by_definition(
         if budget is None:
             budget = default_budget(graph)
         work_graph = graph
-    n = work_graph.vertex_count
-    cands = [Spline(spline_entries(c)) for c in candidates]
-    if len(cands) != n:
-        raise BasisStructureError(f"expected {n} candidates, got {len(cands)}")
-    for i, cand in enumerate(cands):
-        if len(cand) != n:
-            raise BasisStructureError(f"candidate {i} has {len(cand)} entries, expected {n}")
-        if leading_zeros(cand) != i:
-            raise BasisStructureError(
-                f"candidate {i} must have exactly {i} leading zeros, "
-                f"found {leading_zeros(cand)}"
-            )
-        check = is_spline(work_graph, cand)
-        if not check:
-            raise BasisStructureError(
-                f"candidate {i} is not a spline: {check.violations[0].describe()}"
-            )
+    cands = _check_flow_up_family(candidates, work_graph.vertex_count, "candidate", graph)
     for i, cand in enumerate(cands):
         lead = cand.entries[i]
         if abs(lead) == 1:

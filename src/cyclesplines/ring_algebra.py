@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bases import FlowUpBasis, king_basis, triangulation_basis
+from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
 from .errors import DimensionError, InvariantViolationError, NotInSpanError
 from .spline_core import Spline, SplineLike, spline_entries
 
@@ -44,7 +44,8 @@ def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
         c = value // lead
         coefficients.append(c)
         if c:
-            work = [w - c * e for w, e in zip(work, element.entries)]
+            # element k vanishes before position k + 1
+            work[k:] = [w - c * e for w, e in zip(work[k:], element.entries[k:])]
     if any(work):
         raise NotInSpanError("nonzero remainder after peeling every basis element")
     return tuple(coefficients)
@@ -56,9 +57,10 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     if len(coefficients) != n:
         raise DimensionError(f"expected {n} coefficients, got {len(coefficients)}")
     total = [0] * n
-    for c, element in zip(coefficients, basis.elements):
+    for k, (c, element) in enumerate(zip(coefficients, basis.elements)):
         if c:
-            total = [t + c * e for t, e in zip(total, element.entries)]
+            total[k:] = [t + c * e for t, e in zip(total[k:], element.entries[k:])]
+    # validated, so that a non-integer coefficient is rejected
     return Spline(tuple(total))
 
 
@@ -119,19 +121,24 @@ def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition
 
 
 def _king_product_in(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition:
-    n = len(basis)
+    return _king_cell(basis.cycle, i, j, lambda k: basis.elements[k].entries[-1])
+
+
+def _king_cell(cycle, i: int, j: int, tail) -> ProductDecomposition:
+    """The king product of elements i and j, given ``tail(k)``, the last
+    entry of king element k."""
+    n = cycle.n
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise IndexError(f"indices must be in [0, {n - 1}], got ({i}, {j})")
     if i > j:
         i, j = j, i
     if i == 0:
         return ProductDecomposition(i, j, ((j, 1),))
-    tails = [element.entries[-1] for element in basis.elements]
-    k_last = tails[n - 1]
+    k_last = tail(n - 1)
     if j == n - 1:
-        return ProductDecomposition(i, j, _terms(((n - 1, tails[i]),)))
-    l_i = basis.cycle.label(i)
-    numerator = tails[j] * (tails[i] - l_i)
+        return ProductDecomposition(i, j, _terms(((n - 1, tail(i)),)))
+    l_i = cycle.label(i)
+    numerator = tail(j) * (tail(i) - l_i)
     if numerator % k_last != 0:
         raise InvariantViolationError(
             f"king product coefficient {numerator}/{k_last} is not integral"
@@ -151,8 +158,13 @@ def king_product(cycle, i: int, j: int) -> ProductDecomposition:
     where k_i is the last entry of element i; the second coefficient is
     always an integer.  Products with element 0 copy the other element, and
     j = n - 1 collapses to k_i * K_{n-1}.  Index order does not matter.
+
+    The k_i come straight from :func:`king_basis`'s closed form (k_i =
+    l_i * b * inv, k_{n-1} = a * b), so no basis is built.
     """
-    return _king_product_in(king_basis(cycle), i, j)
+    a, b, inv = _king_tail(cycle)
+    n = cycle.n
+    return _king_cell(cycle, i, j, lambda k: a * b if k == n - 1 else cycle.label(k) * b * inv)
 
 
 def _verify_cell(basis: FlowUpBasis, cell: ProductDecomposition) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .errors import DimensionError
+from .errors import BasisStructureError, DimensionError
 
 
 def _as_int_tuple(values, what: str) -> tuple[int, ...]:
@@ -155,28 +155,36 @@ class Spline:
         if not isinstance(other, Spline):
             return NotImplemented
         self._match(other)
-        return Spline(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _trusted_spline(tuple(map(operator.add, self.entries, other.entries)))
 
     def __sub__(self, other: "Spline") -> "Spline":
         if not isinstance(other, Spline):
             return NotImplemented
         self._match(other)
-        return Spline(tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return _trusted_spline(tuple(map(operator.sub, self.entries, other.entries)))
 
     def __neg__(self) -> "Spline":
-        return Spline(tuple(-a for a in self.entries))
+        return _trusted_spline(tuple(map(operator.neg, self.entries)))
 
     def __mul__(self, other: Union["Spline", int]) -> "Spline":
         if isinstance(other, Spline):
             self._match(other)
-            return Spline(tuple(a * b for a, b in zip(self.entries, other.entries)))
+            return _trusted_spline(tuple(map(operator.mul, self.entries, other.entries)))
         try:
             c = operator.index(other)
         except TypeError:
             return NotImplemented
-        return Spline(tuple(c * a for a in self.entries))
+        return _trusted_spline(tuple(c * a for a in self.entries))
 
     __rmul__ = __mul__
+
+
+def _trusted_spline(entries: tuple[int, ...]) -> Spline:
+    """A Spline over a tuple of ints the library built itself, without
+    re-validating every entry."""
+    spline = object.__new__(Spline)
+    object.__setattr__(spline, "entries", entries)
+    return spline
 
 
 GraphLike = Union[EdgeLabeledCycle, EdgeLabeledGraph]
@@ -234,6 +242,12 @@ def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:
     n = vertex_count(graph)
     if len(entries) != n:
         raise DimensionError(f"expected {n} vertex labels, got {len(entries)}")
+    if isinstance(graph, EdgeLabeledCycle):
+        # edge i joins vertices i and i + 1 (edge n wraps to vertex 1), so
+        # all congruences at once are entries minus entries rotated by one
+        rotated = entries[1:] + entries[:1]
+        if not any(map(operator.mod, map(operator.sub, entries, rotated), graph.labels)):
+            return SplineCheck(True, ())
     violations = []
     for i, u, v, lab in labeled_edges(graph):
         if (entries[u - 1] - entries[v - 1]) % lab != 0:
@@ -245,7 +259,7 @@ def trivial_spline(n: int) -> Spline:
     """The all-ones labeling, a spline on every cycle with n vertices."""
     if n < 3:
         raise ValueError(f"cycles have at least 3 vertices, got {n}")
-    return Spline((1,) * n)
+    return _trusted_spline((1,) * n)
 
 
 def add(a: Spline, b: Spline) -> Spline:
@@ -271,3 +285,33 @@ def leading_zeros(s: SplineLike) -> int:
             break
         count += 1
     return count
+
+
+def _check_flow_up_family(
+    members: Sequence[SplineLike], n: int, noun: str, graph: GraphLike | None = None
+) -> tuple[Spline, ...]:
+    """The members as Splines; raises :class:`BasisStructureError` naming the
+    first ``noun`` that breaks the flow-up shape: n members of n entries, member
+    k with exactly k leading zeros and, given a graph, a spline on it."""
+    family = tuple(
+        m if isinstance(m, Spline) else _trusted_spline(_as_int_tuple(m, "vertex labels"))
+        for m in members
+    )
+    if len(family) != n:
+        raise BasisStructureError(f"expected {n} {noun}s, got {len(family)}")
+    for k, member in enumerate(family):
+        entries = member.entries
+        if len(entries) != n:
+            raise BasisStructureError(f"{noun} {k} has {len(entries)} entries, expected {n}")
+        if any(entries[:k]) or entries[k] == 0:
+            raise BasisStructureError(
+                f"{noun} {k} must have exactly {k} leading zeros, "
+                f"found {leading_zeros(entries)}"
+            )
+        if graph is not None:
+            check = is_spline(graph, member)
+            if not check:
+                raise BasisStructureError(
+                    f"{noun} {k} is not a spline: {check.violations[0].describe()}"
+                )
+    return family

@@ -345,3 +345,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["basis"][1] == [0, 2, 12]
+
+
+def test_closed_stdout_exits_quietly():
+    # about 500 kB of output: the child blocks on the full pipe, or has not
+    # written yet, when the reader goes away, as with `| head -1`
+    cycle = ",".join(str(i % 29 + 1) for i in range(400))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclesplines.cli", "basis", "--cycle", cycle,
+         "--kind", "triangulation"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert err == ""

@@ -1,0 +1,205 @@
+"""The closed-form fast paths agree with straightforward reference versions.
+
+Each reference is written out here from the definitions, so a change to
+the library's shared step table, trusted constructors or vectorized checks
+cannot move both sides at once.
+"""
+
+import math
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cyclesplines import (
+    BasisStructureError,
+    EdgeLabeledCycle,
+    EdgeViolation,
+    FlowUpBasis,
+    KingPreconditionError,
+    NotInvertibleError,
+    Spline,
+    SplineCheck,
+    check_basis_by_definition,
+    check_flow_up_basis,
+    egcd,
+    is_spline,
+    king_basis,
+    king_product,
+    labeled_edges,
+    mod_inverse,
+    reconstruct,
+    smallest_leading_entry,
+    solve_congruence_pair,
+    triangulation_basis,
+    triangulation_spline,
+)
+from cyclesplines import ring_algebra
+
+small_labels = st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=40)
+# runs of 1s and shared factors make the pinned reset (a // g == 1) common
+ones_and_divisors = st.lists(st.sampled_from([1, 1, 1, 2, 3, 4, 6, 12]), min_size=3, max_size=40)
+all_equal = st.builds(
+    lambda label, n: [label] * n,
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=3, max_value=40),
+)
+huge_labels = st.lists(
+    st.integers(min_value=10**29, max_value=10**30 - 1), min_size=3, max_size=12
+)
+cycle_labels = st.one_of(small_labels, ones_and_divisors, all_equal, huge_labels)
+
+
+def reference_pair(y, a, b):
+    """The pinned representative, from egcd, as the library defines it."""
+    g = math.gcd(a, b)
+    assert y % g == 0
+    if a // g == 1:
+        return b
+    _, s, _ = egcd(b // g, a // g)
+    return y * (b // g) * (s % (a // g))
+
+
+def reference_chain(cycle, k, solve):
+    """Element k of the triangulation basis, one paired congruence per entry."""
+    n = cycle.n
+    if k == 0:
+        return (1,) * n
+    h = smallest_leading_entry(cycle, k)
+    entries = [0] * k + [h]
+    for i in range(k + 2, n + 1):
+        h = solve(h, cycle.label(i - 1), cycle.suffix_gcd(i))
+        entries.append(h)
+    return tuple(entries)
+
+
+@given(cycle_labels)
+def test_triangulation_basis_matches_reference_chain(labels):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    basis = triangulation_basis(cycle)
+    for k, element in enumerate(basis):
+        assert element.entries == reference_chain(cycle, k, solve_congruence_pair)
+        assert element.entries == reference_chain(cycle, k, reference_pair)
+        assert triangulation_spline(cycle, k) == element
+        assert all(type(e) is int for e in element.entries)
+
+
+@given(cycle_labels, st.data())
+def test_cycle_is_spline_matches_edge_walk(labels, data):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    n = cycle.n
+    # a spline, perturbed at a few vertices, so some draws pass and some fail
+    coefficients = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    entries = list(reconstruct(coefficients, triangulation_basis(cycle)).entries)
+    for vertex in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        entries[vertex] += data.draw(st.integers(-40, 40))
+    violations = tuple(
+        EdgeViolation(i, u, v, lab, entries[u - 1], entries[v - 1])
+        for i, u, v, lab in labeled_edges(cycle)
+        if (entries[u - 1] - entries[v - 1]) % lab != 0
+    )
+    expected = SplineCheck(not violations, violations)
+    assert is_spline(cycle, entries) == expected
+    assert is_spline(cycle.as_graph(), entries) == expected
+
+
+@given(
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.one_of(
+        st.integers(min_value=1, max_value=240),
+        st.integers(min_value=10**29, max_value=10**30),
+    ),
+)
+def test_mod_inverse_matches_egcd_reference(a, m):
+    if m == 1:
+        assert mod_inverse(a, m) == 0
+        return
+    g, s, _ = egcd(a, m)
+    if g != 1:
+        with pytest.raises(NotInvertibleError) as info:
+            mod_inverse(a, m)
+        assert str(info.value) == f"{a} is not invertible modulo {m}: gcd is {g}"
+        return
+    assert mod_inverse(a, m) == s % m
+
+
+def test_mod_inverse_collapsed_and_non_invertible_cases():
+    assert mod_inverse(0, 1) == mod_inverse(12, 1) == mod_inverse(-7, 1) == 0
+    with pytest.raises(NotInvertibleError, match="gcd is 5"):
+        mod_inverse(0, 5)
+    with pytest.raises(NotInvertibleError, match="gcd is 3"):
+        mod_inverse(-6, 9)
+
+
+@pytest.mark.parametrize("bad", [2.0, "2"])
+def test_checkers_still_validate_plain_lists(bad):
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    candidates = [list(e) for e in triangulation_basis(cycle)]
+    candidates[2][2] = bad
+    with pytest.raises(TypeError, match="vertex labels must be integers"):
+        check_flow_up_basis(cycle, candidates)
+    with pytest.raises(TypeError, match="vertex labels must be integers"):
+        check_basis_by_definition(cycle, candidates)
+
+
+def test_shape_errors_keep_their_messages():
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    good = list(triangulation_basis(cycle))
+    cases = [
+        (good[:2], "expected 3 {}s, got 2"),
+        ([good[0], Spline((0, 2)), good[2]], "{} 1 has 2 entries, expected 3"),
+        ([good[0], good[2], good[1]], "{} 1 must have exactly 1 leading zeros, found 2"),
+    ]
+    for members, text in cases:
+        with pytest.raises(BasisStructureError) as info:
+            FlowUpBasis(cycle, tuple(members))
+        assert str(info.value) == text.format("element")
+        for check in (check_flow_up_basis, check_basis_by_definition):
+            with pytest.raises(BasisStructureError) as info:
+                check(cycle, members)
+            assert str(info.value) == text.format("candidate")
+    not_spline = [good[0], Spline((0, 2, 13)), good[2]]
+    for check in (check_flow_up_basis, check_basis_by_definition):
+        with pytest.raises(BasisStructureError) as info:
+            check(cycle, not_spline)
+        assert str(info.value) == (
+            "candidate 1 is not a spline: edge 2 (vertex 2 -- vertex 3, label 5): "
+            "2 and 13 differ by -11, not a multiple of 5"
+        )
+
+
+@given(st.one_of(small_labels, huge_labels))
+def test_king_product_matches_built_basis(labels):
+    # make the tail coprime; a = 1 exercises the collapsed inverse
+    labels = labels[:-1] + [1] if math.gcd(labels[-2], labels[-1]) != 1 else labels
+    cycle = EdgeLabeledCycle(tuple(labels))
+    basis = king_basis(cycle)
+    n = cycle.n
+    for i in range(n):
+        for j in range(n):
+            assert king_product(cycle, i, j) == ring_algebra._king_product_in(basis, i, j)
+
+
+def test_king_product_builds_no_basis(monkeypatch):
+    def refuse(cycle):
+        raise AssertionError("king_product built a basis")
+
+    monkeypatch.setattr(ring_algebra, "king_basis", refuse)
+    cycle = EdgeLabeledCycle((3, 4, 8, 2, 5))
+    assert king_product(cycle, 1, 3).terms == ((3, 3), (4, 48))
+
+
+def test_king_product_errors_unchanged():
+    with pytest.raises(KingPreconditionError, match=r"gcd\(6, 4\) = 2"):
+        king_product(EdgeLabeledCycle((3, 6, 4)), 0, 9)  # precondition comes first
+    cycle = EdgeLabeledCycle((3, 4, 8, 2, 5))
+    with pytest.raises(IndexError, match=r"indices must be in \[0, 4\], got \(0, 5\)"):
+        king_product(cycle, 0, 5)
+
+
+def test_reconstruct_still_rejects_non_integer_coefficients():
+    basis = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))
+    with pytest.raises(TypeError):
+        reconstruct([0, 0.5, 0], basis)
+    with pytest.raises(TypeError):
+        reconstruct([1, 0, 2.0], basis)
