@@ -203,6 +203,12 @@ def check_flow_up_basis(
     the offending index.  A well-formed set is a basis iff candidate 0 is
     the all-ones spline up to sign and, for every k >= 1, candidate k's
     leading entry is plus or minus :func:`smallest_leading_entry`.
+
+    Candidate k's congruences are tested on edges k..n only (all edges for
+    candidate 0): edges 1..k-1 join two of its k leading zeros, which the
+    shape check has just confirmed, so they hold.  A basis thus costs about
+    n²/2 edge tests, and a failing candidate is still reported by its first
+    violated edge.
     """
     n = cycle.n
     cands = _check_flow_up_family(candidates, n, "candidate", cycle)

@@ -1,9 +1,24 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclesplines import (
+    EdgeLabeledCycle,
+    Spline,
+    decompose,
+    king_basis,
+    king_product,
+    product_in_basis,
+    reconstruct,
+    triangulation_basis,
+)
 from cyclesplines.cli import main
 
 
@@ -361,3 +376,98 @@ def test_closed_stdout_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 0
     assert err == ""
+
+
+# ------------------------------------------------------- exact at any size
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+# one more digit than CPython's default int <-> str limit of 4300
+WIDE = 10**4300
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift the int <-> str digit limit while the test itself formats or
+    parses numbers too wide for it."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def digit_limit():
+    return sys.get_int_max_str_digits() if HAS_DIGIT_LIMIT else None
+
+
+def run_machine(*argv):
+    """main(argv) in machine mode under the caller's digit limit; the exit
+    code, the parsed document and whether the limit came back unchanged."""
+    before = digit_limit()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--format", "machine"])
+    restored = digit_limit() == before
+    with unlimited_digits():
+        return code, json.loads(out.getvalue()) if code == 0 else None, restored
+
+
+@st.composite
+def wide_cycles(draw):
+    """Cycles of 3..6 labels, at least one wider than the digit limit, with
+    coprime last two labels so the king basis exists.  Drawn as small
+    numbers plus multiples of WIDE, so failing examples still print."""
+    small = draw(st.lists(st.integers(1, 30), min_size=3, max_size=6))
+    widen = draw(st.lists(st.integers(0, 3), min_size=len(small), max_size=len(small)))
+    widen[draw(st.integers(0, len(small) - 1))] = 1
+    return small, widen
+
+
+@settings(max_examples=20, deadline=None)
+@given(wide_cycles(), st.data())
+def test_machine_output_round_trips_at_any_size(small_and_widen, data):
+    labels = [lab + WIDE * w for lab, w in zip(*small_and_widen)]
+    if math.gcd(labels[-2], labels[-1]) != 1:
+        labels[-1] = labels[-2] + 1
+    cycle = EdgeLabeledCycle(tuple(labels))
+    n = cycle.n
+    with unlimited_digits():
+        cycle_arg = ",".join(map(str, cycle.labels))
+    bases = {"triangulation": triangulation_basis(cycle), "king": king_basis(cycle)}
+    for kind, basis in bases.items():
+        code, payload, restored = run_machine("basis", "--cycle", cycle_arg, "--kind", kind)
+        assert (code, restored) == (0, True)
+        assert payload == {"kind": kind, "basis": [list(e.entries) for e in basis]}
+
+        coefficients = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+        spline = reconstruct(coefficients, basis)
+        with unlimited_digits():
+            labels_arg = "--labels=" + ",".join(map(str, spline.entries))
+        code, payload, restored = run_machine(
+            "decompose", "--cycle", cycle_arg, labels_arg, "--kind", kind
+        )
+        assert (code, restored) == (0, True)
+        assert payload == {"coefficients": list(decompose(Spline(spline.entries), basis))}
+
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        cell = king_product(cycle, i, j) if kind == "king" else product_in_basis(basis, i, j)
+        code, payload, restored = run_machine(
+            "multiply", "--cycle", cycle_arg, "--kind", kind, "--i", str(i), "--j", str(j)
+        )
+        assert (code, restored) == (0, True)
+        terms = [list(t) for t in cell.terms]
+        assert payload == {"product": {"i": cell.i, "j": cell.j, "terms": terms}}
+
+
+def test_wide_label_from_input_file(tmp_path):
+    cycle = EdgeLabeledCycle((10**4399 + 1, 2, 3))
+    path = tmp_path / "cycle.json"
+    with unlimited_digits():
+        path.write_text(json.dumps({"cycle": list(cycle.labels)}))
+    code, payload, restored = run_machine("basis", "--input", str(path), "--kind", "king")
+    assert (code, restored) == (0, True)
+    assert payload["basis"] == [list(e.entries) for e in king_basis(cycle)]

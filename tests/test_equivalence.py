@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cyclesplines import (
     BasisStructureError,
     EdgeLabeledCycle,
+    EdgeLabeledGraph,
     EdgeViolation,
     FlowUpBasis,
     KingPreconditionError,
@@ -34,7 +35,7 @@ from cyclesplines import (
     triangulation_basis,
     triangulation_spline,
 )
-from cyclesplines import ring_algebra
+from cyclesplines import ring_algebra, spline_core
 
 small_labels = st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=40)
 # runs of 1s and shared factors make the pinned reset (a // g == 1) common
@@ -166,6 +167,100 @@ def test_shape_errors_keep_their_messages():
             "candidate 1 is not a spline: edge 2 (vertex 2 -- vertex 3, label 5): "
             "2 and 13 differ by -11, not a multiple of 5"
         )
+
+
+def reference_certify(cycle, candidates):
+    """check_flow_up_basis's verdict from the definitions: the per-edge walk
+    on every edge of every member, then the leading entries."""
+    for k, member in enumerate(candidates):
+        entries = tuple(member)
+        for i, u, v, lab in labeled_edges(cycle):
+            if (entries[u - 1] - entries[v - 1]) % lab != 0:
+                first = EdgeViolation(i, u, v, lab, entries[u - 1], entries[v - 1])
+                raise BasisStructureError(f"candidate {k} is not a spline: {first.describe()}")
+    ones = tuple(candidates[0])
+    return (all(e == 1 for e in ones) or all(e == -1 for e in ones)) and all(
+        abs(candidates[k][k]) == smallest_leading_entry(cycle, k) for k in range(1, cycle.n)
+    )
+
+
+def certification_outcome(check, graph, candidates):
+    try:
+        return bool(check(graph, candidates))
+    except BasisStructureError as exc:
+        return str(exc)
+
+
+@given(cycle_labels, st.data())
+def test_tail_certification_reports_the_first_violation(labels, data):
+    n = len(labels)
+    k = data.draw(st.sampled_from([0, 1, n - 1]))
+    first = max(k, 1)
+    # the edge the perturbation breaks: edge k (edge 1 when k = 0), a middle
+    # edge strictly inside the tail, or the wrap edge n
+    edge = data.draw(st.sampled_from([first, n] + list(range(first + 1, n))))
+    # perturb the edge's vertex other than vertex 1; label the other edge at
+    # that vertex 1 so that only the chosen edge breaks
+    vertex, other = (edge + 1, edge + 1) if edge < n else (n, n - 1)
+    labels = list(labels)
+    labels[edge - 1] = max(labels[edge - 1], 2)
+    labels[other - 1] = 1
+    cycle = EdgeLabeledCycle(tuple(labels))
+    candidates = list(triangulation_basis(cycle))
+    assert reference_certify(cycle, candidates) is True
+    assert check_flow_up_basis(cycle, candidates)
+
+    entries = list(candidates[k].entries)
+    entries[vertex - 1] += 1
+    candidates[k] = Spline(tuple(entries))
+    with pytest.raises(BasisStructureError) as info:
+        reference_certify(cycle, candidates)
+    text = str(info.value)
+    assert text.startswith(f"candidate {k} is not a spline: edge {edge} (")
+    for check, graph in [
+        (check_flow_up_basis, cycle),
+        (check_basis_by_definition, cycle),
+        (check_basis_by_definition, cycle.as_graph()),
+    ]:
+        assert certification_outcome(check, graph, candidates) == text
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=4), st.data())
+def test_tail_certification_verdicts_match_reference(labels, data):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    n = cycle.n
+    candidates = list(triangulation_basis(cycle))
+    if data.draw(st.booleans()):
+        k = data.draw(st.sampled_from([0, 1, n - 1]))
+        candidates[k] = candidates[k] * 2
+    verdict = reference_certify(cycle, candidates)
+    assert bool(check_flow_up_basis(cycle, candidates)) == verdict
+    assert check_basis_by_definition(cycle, candidates) == verdict
+
+
+def test_cycle_certification_makes_no_is_spline_call(monkeypatch):
+    def refuse(graph, labels):
+        raise AssertionError("certification walked a whole candidate")
+
+    monkeypatch.setattr(spline_core, "is_spline", refuse)
+    cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(200)))
+    assert check_flow_up_basis(cycle, list(triangulation_basis(cycle)))
+
+
+def test_general_graph_reports_its_first_violation():
+    # a 4-cycle with its edges listed out of order: edge 1 joins vertices 3
+    # and 4, so a tail starting at edge k = 2 would miss it
+    graph = EdgeLabeledGraph(4, ((3, 4, 3), (1, 2, 2), (2, 3, 5), (4, 1, 7)))
+    cycle = EdgeLabeledCycle((2, 5, 3, 7))
+    candidates = list(triangulation_basis(cycle))
+    assert check_basis_by_definition(graph, candidates)
+    candidates[2] = Spline((0, 0, 1, 2))
+    with pytest.raises(BasisStructureError) as info:
+        check_basis_by_definition(graph, candidates)
+    assert str(info.value) == (
+        "candidate 2 is not a spline: edge 1 (vertex 3 -- vertex 4, label 3): "
+        "1 and 2 differ by -1, not a multiple of 3"
+    )
 
 
 @given(st.one_of(small_labels, huge_labels))
