@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import oracle
-from .errors import KingPreconditionError
+from .errors import KingPreconditionError, _int_text
 from .numtheory import congruence_step, lcm, solve_congruence_pair
 from .spline_core import (
     EdgeLabeledCycle,
@@ -160,6 +160,7 @@ def _king_tail(cycle: EdgeLabeledCycle) -> tuple[int, int, int]:
     a, b = cycle.labels[-2:]
     g = math.gcd(a, b)
     if g != 1:
+        a, b, g = map(_int_text, (a, b, g))
         raise KingPreconditionError(
             f"the last two edge labels must be coprime: gcd({a}, {b}) = {g}"
         )
@@ -178,7 +179,7 @@ class BasisDefect:
     def describe(self) -> str:
         text = f"element {self.index}: {self.reason}"
         if self.expected is not None:
-            text += f" (expected {self.expected}, got {self.actual})"
+            text += f" (expected {_int_text(self.expected)}, got {_int_text(self.actual)})"
         return text
 
 

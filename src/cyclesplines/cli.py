@@ -96,7 +96,8 @@ def _load_target(args: argparse.Namespace) -> GraphLike:
                 document = json.load(fh)
         except OSError as exc:
             raise _InputError(f"cannot read {args.input}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deep to decode
             raise _InputError(f"{args.input} is not valid JSON: {exc}") from None
         return _target_from_document(document)
     raise _InputError("one of --cycle or --input is required")
@@ -308,6 +309,7 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
         raise _InputError("give --kind to check a constructed basis or --candidates for explicit ones")
     if args.kind is not None and args.candidates is not None:
         raise _InputError("give either --kind or --candidates, not both")
+    budget = _budget_for(args, target)  # before --kind smallest searches with it
     if args.kind is not None:
         cycle = _require_cycle(target, "oracle check-basis --kind")
         candidates = list(_build_basis(cycle, args.kind, args).elements)
@@ -316,7 +318,7 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
             Spline(tuple(_parse_int_list(part, "--candidates")))
             for part in args.candidates.split(";")
         ]
-    ok = check_basis_by_definition(target, candidates, _budget_for(args, target))
+    ok = check_basis_by_definition(target, candidates, budget)
     _emit(
         args,
         {"ok": ok},
@@ -468,7 +470,7 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CycleSplinesError, ValueError) as exc:
+    except CycleSplinesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     return code

@@ -6,6 +6,8 @@ the closest builtin (ValueError, ArithmeticError, RuntimeError) keeps the
 types usable in generic code that never imports this module.
 """
 
+import math
+
 
 class CycleSplinesError(Exception):
     """Base class for all errors raised by this package."""
@@ -43,3 +45,22 @@ class BudgetExceededError(CycleSplinesError, RuntimeError):
 class InvariantViolationError(CycleSplinesError, RuntimeError):
     """An internal consistency check failed; this indicates a bug, not bad
     input."""
+
+
+def _int_text(value: int) -> str:
+    """``str(value)`` for error messages, or the digit count when the value
+    is wider than CPython's int -> str digit limit allows.
+
+    The caller's limit is left as it is: a message about a 5000-digit entry
+    reads ``<5000-digit integer>`` instead of the intended error turning into
+    a ValueError about the limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        magnitude = abs(value)
+        digits = math.floor(math.log10(magnitude)) + 1
+        # the float estimate can be one off near a power of ten
+        digits += magnitude >= 10**digits
+        digits -= magnitude < 10 ** (digits - 1)
+        return f"{'-' if value < 0 else ''}<{digits}-digit integer>"

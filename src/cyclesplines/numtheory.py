@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NoSolutionError, NotInvertibleError
+from .errors import NoSolutionError, NotInvertibleError, _int_text
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -54,9 +54,8 @@ def mod_inverse(a: int, m: int) -> int:
     try:
         return pow(a, -1, m)
     except ValueError:
-        raise NotInvertibleError(
-            f"{a} is not invertible modulo {m}: gcd is {math.gcd(a, m)}"
-        ) from None
+        a, m, g = map(_int_text, (a, m, math.gcd(a, m)))
+        raise NotInvertibleError(f"{a} is not invertible modulo {m}: gcd is {g}") from None
 
 
 def congruence_step(a: int, b: int) -> tuple[int, int]:
@@ -86,6 +85,7 @@ def solve_congruence_pair(y: int, a: int, b: int) -> int:
     """
     g, mult = congruence_step(a, b)
     if y % g != 0:
+        y, a, b, g = map(_int_text, (y, a, b, g))
         raise NoSolutionError(
             f"x = {y} (mod {a}), x = 0 (mod {b}) has no solution: "
             f"gcd({a}, {b}) = {g} does not divide {y}"

@@ -12,42 +12,41 @@ flow-up basis on any cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
-from .errors import DimensionError, InvariantViolationError, NotInSpanError
+from .errors import DimensionError, InvariantViolationError, NotInSpanError, _int_text
 from .spline_core import Spline, SplineLike, spline_entries
 
 
 def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
     """Coefficients c with s equal to the sum of c[k] * basis[k].
 
-    Raises :class:`NotInSpanError` when any peeling step hits a non-integer
-    quotient or a nonzero remainder survives the last element; a vector that
-    fails the edge congruences always does one or the other, because every
-    integer combination of basis elements satisfies them.
+    Raises :class:`NotInSpanError` when a peeling step hits a non-integer
+    quotient.  A vector that fails the edge congruences always does: every
+    integer combination of basis elements satisfies them, and step k leaves
+    position k zero for good, so no remainder survives the last step.
     """
     entries = spline_entries(s)
     n = len(basis)
     if len(entries) != n:
         raise DimensionError(f"expected {n} entries, got {len(entries)}")
     work = list(entries)
-    coefficients = []
-    for k, element in enumerate(basis.elements):
-        lead = element.entries[k]
+    coefficients = [0] * n
+    # compress reads work lazily: only still-nonzero remainders are visited
+    for k in compress(range(n), work):
+        element = basis.elements[k].entries
+        lead = element[k]
         value = work[k]
         if value % lead != 0:
             raise NotInSpanError(
-                f"entry {value} at position {k + 1} is not a multiple of the "
-                f"leading entry {lead} of basis element {k}"
+                f"entry {_int_text(value)} at position {k + 1} is not a multiple of the "
+                f"leading entry {_int_text(lead)} of basis element {k}"
             )
-        c = value // lead
-        coefficients.append(c)
-        if c:
-            # element k vanishes before position k + 1
-            work[k:] = [w - c * e for w, e in zip(work[k:], element.entries[k:])]
-    if any(work):
-        raise NotInSpanError("nonzero remainder after peeling every basis element")
+        c = coefficients[k] = value // lead
+        # element k vanishes before position k + 1
+        work[k:] = [w - c * e for w, e in zip(work[k:], element[k:])]
     return tuple(coefficients)
 
 
@@ -57,9 +56,9 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     if len(coefficients) != n:
         raise DimensionError(f"expected {n} coefficients, got {len(coefficients)}")
     total = [0] * n
-    for k, (c, element) in enumerate(zip(coefficients, basis.elements)):
-        if c:
-            total[k:] = [t + c * e for t, e in zip(total[k:], element.entries[k:])]
+    for k in compress(range(n), coefficients):
+        c = coefficients[k]
+        total[k:] = [t + c * e for t, e in zip(total[k:], basis.elements[k].entries[k:])]
     # validated, so that a non-integer coefficient is rejected
     return Spline(tuple(total))
 
@@ -117,7 +116,8 @@ def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition
     if i > j:
         i, j = j, i
     coefficients = decompose(basis[i] * basis[j], basis)
-    return ProductDecomposition(i, j, _terms(tuple(enumerate(coefficients))))
+    terms = zip(compress(range(n), coefficients), filter(None, coefficients))
+    return ProductDecomposition(i, j, tuple(terms))
 
 
 def _king_product_in(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition:
@@ -169,12 +169,13 @@ def king_product(cycle, i: int, j: int) -> ProductDecomposition:
 
 def _verify_cell(basis: FlowUpBasis, cell: ProductDecomposition) -> None:
     product = basis[cell.i] * basis[cell.j]
-    if cell.reconstruct(basis) != product:
+    coefficients = cell.coefficients(len(basis))
+    if reconstruct(coefficients, basis) != product:
         raise InvariantViolationError(
             f"table cell ({cell.i}, {cell.j}) does not reconstruct the "
             f"componentwise product"
         )
-    if decompose(product, basis) != cell.coefficients(len(basis)):
+    if decompose(product, basis) != coefficients:
         raise InvariantViolationError(
             f"table cell ({cell.i}, {cell.j}) disagrees with decompose"
         )

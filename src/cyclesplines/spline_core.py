@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .errors import BasisStructureError, DimensionError
+from .errors import BasisStructureError, DimensionError, _int_text
 
 
 def _as_int_tuple(values, what: str) -> tuple[int, ...]:
     """Coerce an iterable of integer-likes to a tuple of ints, rejecting floats."""
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(operator.index, values))
     except TypeError as exc:
         raise TypeError(f"{what} must be integers") from exc
 
@@ -218,10 +218,11 @@ class EdgeViolation:
     value_v: int
 
     def describe(self) -> str:
+        label, value_u, value_v = map(_int_text, (self.label, self.value_u, self.value_v))
         return (
-            f"edge {self.edge} (vertex {self.u} -- vertex {self.v}, label {self.label}): "
-            f"{self.value_u} and {self.value_v} differ by {self.value_u - self.value_v}, "
-            f"not a multiple of {self.label}"
+            f"edge {self.edge} (vertex {self.u} -- vertex {self.v}, label {label}): "
+            f"{value_u} and {value_v} differ by {_int_text(self.value_u - self.value_v)}, "
+            f"not a multiple of {label}"
         )
 
 

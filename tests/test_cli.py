@@ -19,6 +19,7 @@ from cyclesplines import (
     reconstruct,
     triangulation_basis,
 )
+from cyclesplines import cli
 from cyclesplines.cli import main
 
 
@@ -333,6 +334,42 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--input", str(path), "--labels", "1,1,1")
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_undecodable_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"cycle": [2, 5, 3], "note": "\xff"}')
+    code, _, err = run(capsys, "verify", "--input", str(path), "--labels", "1,1,1")
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, _, err = run(capsys, "verify", "--input", str(path), "--labels", "1,1,1")
+    assert code == 2
+    assert "not valid JSON" in err
+
+
+@pytest.mark.parametrize("flag", ["--bound", "--max-states"])
+def test_check_basis_smallest_validates_budget_first(capsys, flag):
+    code, _, err = run(
+        capsys, "oracle", "check-basis", "--cycle", "2,5,3", "--kind", "smallest", flag, "0"
+    )
+    assert code == 2
+    assert f"{flag} must be positive, got 0" in err
+
+
+def test_bare_value_error_is_a_bug_not_a_domain_failure(monkeypatch, capsys):
+    # only the package's own errors map to exit 1; anything else propagates
+    def broken(cycle):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr(cli, "triangulation_basis", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["basis", "--cycle", "2,5,3", "--kind", "triangulation"])
+    assert capsys.readouterr().err == ""
 
 
 def test_argparse_errors_exit_2(capsys):

@@ -18,17 +18,20 @@ from cyclesplines import (
     EdgeViolation,
     FlowUpBasis,
     KingPreconditionError,
+    NotInSpanError,
     NotInvertibleError,
     Spline,
     SplineCheck,
     check_basis_by_definition,
     check_flow_up_basis,
+    decompose,
     egcd,
     is_spline,
     king_basis,
     king_product,
     labeled_edges,
     mod_inverse,
+    product_in_basis,
     reconstruct,
     smallest_leading_entry,
     solve_congruence_pair,
@@ -298,3 +301,91 @@ def test_reconstruct_still_rejects_non_integer_coefficients():
         reconstruct([0, 0.5, 0], basis)
     with pytest.raises(TypeError):
         reconstruct([1, 0, 2.0], basis)
+
+
+# ----------------------------------------------- sparse peeling vs dense loops
+
+
+def dense_decompose(entries, basis):
+    """decompose as a front-to-back loop over every position."""
+    work = list(entries)
+    coefficients = []
+    for k, element in enumerate(basis.elements):
+        lead = element.entries[k]
+        value = work[k]
+        if value % lead != 0:
+            raise NotInSpanError(
+                f"entry {value} at position {k + 1} is not a multiple of the "
+                f"leading entry {lead} of basis element {k}"
+            )
+        c = value // lead
+        coefficients.append(c)
+        if c:
+            work[k:] = [w - c * e for w, e in zip(work[k:], element.entries[k:])]
+    if any(work):
+        raise NotInSpanError("nonzero remainder after peeling every basis element")
+    return tuple(coefficients)
+
+
+def dense_reconstruct(coefficients, basis):
+    """reconstruct as a loop over every element."""
+    total = [0] * len(basis)
+    for k, (c, element) in enumerate(zip(coefficients, basis.elements)):
+        if c:
+            total[k:] = [t + c * e for t, e in zip(total[k:], element.entries[k:])]
+    return tuple(total)
+
+
+def decompose_outcome(decomposer, entries, basis):
+    try:
+        return decomposer(entries, basis)
+    except NotInSpanError as exc:
+        return str(exc)
+
+
+@st.composite
+def bases_and_coefficients(draw):
+    """A triangulation or king basis on a drawn cycle and a coefficient
+    vector that is mostly zeros (as in a product) or dense."""
+    labels = draw(cycle_labels)
+    kind = draw(st.sampled_from(["triangulation", "king"]))
+    if kind == "king" and math.gcd(labels[-2], labels[-1]) != 1:
+        labels = labels[:-1] + [1]
+    cycle = EdgeLabeledCycle(tuple(labels))
+    basis = triangulation_basis(cycle) if kind == "triangulation" else king_basis(cycle)
+    n = cycle.n
+    if draw(st.booleans()):
+        coefficients = [0] * n
+        for k in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            coefficients[k] = draw(st.integers(-50, 50))
+    else:
+        coefficients = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    return basis, coefficients
+
+
+@given(bases_and_coefficients(), st.data())
+def test_sparse_peeling_matches_dense_loops(basis_and_coefficients, data):
+    basis, coefficients = basis_and_coefficients
+    n = len(basis)
+    entries = dense_reconstruct(coefficients, basis)
+    assert reconstruct(coefficients, basis).entries == entries
+    assert decompose(entries, basis) == dense_decompose(entries, basis) == tuple(coefficients)
+    # a non-spline: the same error text, at the same position, on both sides
+    broken = list(entries)
+    for vertex in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        broken[vertex] += data.draw(st.integers(-40, 40))
+    assert decompose_outcome(decompose, broken, basis) == decompose_outcome(
+        dense_decompose, broken, basis
+    )
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    product = tuple(a * b for a, b in zip(basis[i].entries, basis[j].entries))
+    dense = dense_decompose(product, basis)
+    cell = product_in_basis(basis, i, j)
+    assert (cell.i, cell.j) == (min(i, j), max(i, j))
+    assert cell.terms == tuple((k, c) for k, c in enumerate(dense) if c)
+
+
+def test_reconstruct_skips_float_zero_coefficients():
+    # 0.5 and 2.0 are still rejected: test_reconstruct_still_rejects_non_integer_coefficients
+    basis = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))
+    assert reconstruct([1, 0.0, 1], basis) == reconstruct([1, 0, 1], basis)

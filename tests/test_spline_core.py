@@ -1,18 +1,31 @@
+import contextlib
+import sys
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclesplines import (
+    BasisStructureError,
     DimensionError,
     EdgeLabeledCycle,
     EdgeLabeledGraph,
+    KingPreconditionError,
+    NoSolutionError,
+    NotInSpanError,
+    NotInvertibleError,
     Spline,
     add,
+    check_flow_up_basis,
+    decompose,
     is_spline,
+    king_basis,
     labeled_edges,
     leading_zeros,
+    mod_inverse,
     pointwise_mul,
     scalar_mul,
+    solve_congruence_pair,
     triangulation_basis,
     trivial_spline,
 )
@@ -203,3 +216,64 @@ def test_splines_closed_under_ring_operations(data):
     assert is_spline(cycle, a - b).ok
     assert is_spline(cycle, a * b).ok
     assert is_spline(cycle, data.draw(coeff) * a).ok
+
+
+# ------------------------------------------------- error messages at any size
+
+HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Run under the given int <-> str digit limit (0 lifts it), where the
+    interpreter has one (CPython 3.10.7+)."""
+    if not HAS_DIGIT_LIMIT:
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def failing_calls(wide):
+    """Calls that fail with a message quoting ``wide`` (odd) or its neighbour."""
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    basis = triangulation_basis(cycle)
+    not_a_spline = [basis[0], (0, wide, 12), basis[2]]
+    return [
+        (NoSolutionError, lambda: solve_congruence_pair(wide, 4, 2)),
+        (NotInSpanError, lambda: decompose((0, wide, 0), basis)),
+        (BasisStructureError, lambda: check_flow_up_basis(cycle, not_a_spline)),
+        (NotInvertibleError, lambda: mod_inverse(wide + 1, 4)),
+        (KingPreconditionError, lambda: king_basis(EdgeLabeledCycle((3, abs(wide) + 1, 2)))),
+    ]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(4301, 4400), st.integers(0, 10**6), st.booleans())
+def test_errors_about_wide_numbers_keep_their_types(digits, low, negative):
+    wide = (10 ** (digits - 1) + 2 * low + 1) * (-1 if negative else 1)
+    for error, call in failing_calls(wide):
+        # CPython's default limit of 4300 digits, as a library caller has it
+        with digit_limit(4300):
+            with pytest.raises(error) as info:
+                call()
+            if HAS_DIGIT_LIMIT:
+                assert sys.get_int_max_str_digits() == 4300
+                assert f"<{digits}-digit integer>" in str(info.value)
+        # without a limit the full digits are printed
+        with digit_limit(0):
+            with pytest.raises(error) as info:
+                call()
+            assert "-digit integer>" not in str(info.value)
+    # a well-formed non-basis is a verdict, not an error; its defects describe it
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    basis = triangulation_basis(cycle)
+    check = check_flow_up_basis(cycle, [basis[0], basis[1], basis[2] * abs(wide)])
+    with digit_limit(4300):
+        text = check.defects[0].describe()
+    if HAS_DIGIT_LIMIT:
+        assert text.endswith(f"(expected 15, got <{digits + 1}-digit integer>)")
