@@ -3,10 +3,11 @@
 A spline assigns an integer to every vertex of an edge-labeled graph so
 that adjacent values agree modulo the edge label.  For cycles this package
 constructs flow-up bases of the resulting module (triangulation, king, and
-smallest), verifies candidate bases, decomposes splines exactly,
-and computes multiplication tables, all in arbitrary-precision integer
-arithmetic.  A brute-force oracle certifies the closed forms at desk scale,
-and the ``cyclesplines`` command exposes everything on the command line.
+smallest, all closed forms at any size), verifies candidate bases,
+decomposes splines exactly, and computes multiplication tables, all in
+arbitrary-precision integer arithmetic.  A brute-force oracle certifies the
+closed forms at desk scale, and the ``cyclesplines`` command exposes
+everything on the command line.
 """
 
 from .bases import (
@@ -33,7 +34,7 @@ from .errors import (
     NotInSpanError,
     NotInvertibleError,
 )
-from .numtheory import egcd, lcm, mod_inverse, solve_congruence_pair
+from .numtheory import lcm, mod_inverse, solve_congruence_pair
 from .oracle import (
     DEFAULT_MAX_STATES,
     EnumerationBudget,
@@ -99,7 +100,6 @@ __all__ = [
     "check_flow_up_basis",
     "decompose",
     "default_budget",
-    "egcd",
     "enumerate_flow_up_splines",
     "is_spline",
     "king_basis",

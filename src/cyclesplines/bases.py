@@ -9,8 +9,10 @@ On a cycle the minimal achievable positive leading entry for k >= 1 is
 and a set of n flow-up splines, one for each zero count 0..n - 1, is a
 basis exactly when every leading entry is minimal in absolute value and the
 element with no zeros is the all-ones spline up to sign.  This module
-provides two constructions that hit those minima (triangulation and king),
-the checker, and a brute-force smallest element at desk scale.
+provides three constructions that hit those minima and the checker.
+Triangulation and smallest are one chain of paired congruences with two
+representatives per step (pinned, or least positive); king has constant
+middle runs.  All three are closed forms and work at any n.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from . import oracle
 from .errors import KingPreconditionError, _int_text
-from .numtheory import congruence_step, lcm, solve_congruence_pair
+from .numtheory import congruence_step, lcm
 from .spline_core import (
     EdgeLabeledCycle,
     Spline,
@@ -65,27 +66,34 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     n = cycle.n
     if not 0 <= k <= n - 1:
         raise IndexError(f"k must be in [0, {n - 1}], got {k}")
-    return _triangulation_element(cycle, _triangulation_steps(cycle), k)
+    return _chain_element(_chain_steps(cycle), n, k, least=False)
 
 
-def _triangulation_steps(cycle: EdgeLabeledCycle) -> list[tuple[int, int, int, int]]:
-    # slot i - 2 holds (label(i - 1), suffix_gcd(i), g, mult) for the step
-    # that produces entry i from entry i - 1, for i in [2, n]
-    moduli = zip(cycle.labels, cycle._suffix_gcds[1:])
-    return [(a, b, *congruence_step(a, b)) for a, b in moduli]
+def _chain_steps(cycle: EdgeLabeledCycle) -> list[tuple[int, int]]:
+    # slot i - 2 holds (mult, lcm(a, b)) for the step that produces entry i
+    # from entry i - 1, for i in [2, n], with a = label(i - 1) and
+    # b = suffix_gcd(i).  Entry i - 1 is a multiple of suffix_gcd(i - 1) =
+    # gcd(a, b), so every step is solvable, and its solutions form one
+    # residue class modulo lcm(a, b): that of entry * mult, or of b when
+    # mult is 0.
+    steps = []
+    for a, b in zip(cycle.labels, cycle._suffix_gcds[1:]):
+        g, mult = congruence_step(a, b)
+        steps.append((mult, a // g * b))
+    return steps
 
 
-def _triangulation_element(
-    cycle: EdgeLabeledCycle, steps: list[tuple[int, int, int, int]], k: int
-) -> Spline:
+def _chain_element(steps: list[tuple[int, int]], n: int, k: int, least: bool) -> Spline:
+    """Element k of the chain: the pinned representative of each step, or
+    with ``least`` the least positive one.  Its leading entry is m_k, the
+    lcm of the step into position k + 1."""
     if k == 0:
-        return trivial_spline(cycle.n)
-    h = smallest_leading_entry(cycle, k)
+        return trivial_spline(n)
+    h = steps[k - 1][1]
     entries = [0] * k + [h]
-    for a, b, g, mult in steps[k:]:
-        if h % g:
-            solve_congruence_pair(h, a, b)  # raises NoSolutionError for this step
-        h = h * mult if mult else b
+    for mult, period in steps[k:]:
+        # h > 0, so h * mult is 0 exactly when mult is, and then period == b
+        h = (h * mult % period if least else h * mult) or period
         entries.append(h)
     return _trusted_spline(tuple(entries))
 
@@ -126,12 +134,14 @@ class FlowUpBasis:
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """The flow-up basis whose elements are :func:`triangulation_spline` for
     k = 0..n - 1, sharing one table of chain steps."""
-    steps = _triangulation_steps(cycle)
-    return FlowUpBasis(
-        cycle,
-        tuple(_triangulation_element(cycle, steps, k) for k in range(cycle.n)),
-        "triangulation",
-    )
+    return _chain_basis(cycle, "triangulation")
+
+
+def _chain_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
+    steps = _chain_steps(cycle)
+    least = kind == "smallest"
+    elements = (_chain_element(steps, cycle.n, k, least) for k in range(cycle.n))
+    return FlowUpBasis(cycle, tuple(elements), kind)
 
 
 def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
@@ -239,36 +249,24 @@ def check_flow_up_basis(
     return BasisCheck(not defects, tuple(defects))
 
 
-def smallest_flow_up_class(
-    cycle: EdgeLabeledCycle,
-    k: int,
-    search_bound: Optional[int] = None,
-    max_states: Optional[int] = None,
-) -> Spline:
+def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
     """Smallest flow-up spline with k leading zeros and positive remaining
-    entries, minimizing entries left to right, found by exhaustive search
-    (desk scale only).
+    entries, minimizing entries left to right.
 
-    ``search_bound`` caps the searched entries; the default is the provably
-    sufficient bound of :func:`oracle.smallest_class_bound`.
+    A partial labeling ending in h at position i extends to a flow-up
+    spline exactly when suffix_gcd(i) divides h, so the minimizer is the
+    triangulation chain with the least positive solution taken at each
+    step: at most lcm(label(i - 1), suffix_gcd(i)) per entry, and never
+    above the matching triangulation entry.  Works at any n;
+    :func:`oracle.brute_force_smallest` certifies it at desk scale.
     """
-    budget = None
-    if search_bound is not None or max_states is not None:
-        budget = oracle.EnumerationBudget(
-            search_bound if search_bound is not None else oracle.smallest_class_bound(cycle),
-            max_states if max_states is not None else oracle.DEFAULT_MAX_STATES,
-        )
-    return oracle.brute_force_smallest(cycle, k, budget)
+    n = cycle.n
+    if not 1 <= k <= n - 1:
+        raise IndexError(f"k must be in [1, {n - 1}], got {k}")
+    return _chain_element(_chain_steps(cycle), n, k, least=True)
 
 
-def smallest_basis(
-    cycle: EdgeLabeledCycle,
-    search_bound: Optional[int] = None,
-    max_states: Optional[int] = None,
-) -> FlowUpBasis:
-    """Flow-up basis whose element k is the smallest flow-up class, with the
-    all-ones spline at index 0 (desk scale only)."""
-    elements = [trivial_spline(cycle.n)]
-    for k in range(1, cycle.n):
-        elements.append(smallest_flow_up_class(cycle, k, search_bound, max_states))
-    return FlowUpBasis(cycle, tuple(elements), "smallest")
+def smallest_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
+    """Flow-up basis whose element k is :func:`smallest_flow_up_class`, with
+    the all-ones spline at index 0, sharing one table of chain steps."""
+    return _chain_basis(cycle, "smallest")

@@ -19,7 +19,8 @@ Numbers are plain base 10.  Note for negative entries: write
 flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
-unmet), 2 malformed input, 3 search budget exceeded.
+unmet), 2 malformed input, 3 search budget exceeded.  Only the oracle
+subcommands search; they take --bound and --max-states.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .spline_core import (
     Spline,
     is_spline,
     labeled_edges,
+    leading_zeros,
     vertex_count,
 )
 
@@ -138,8 +140,7 @@ def _parse_labels(args: argparse.Namespace, n: int) -> list[int]:
 
 
 def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[EnumerationBudget]:
-    bound = getattr(args, "bound", None)
-    states = getattr(args, "max_states", None)
+    bound, states = args.bound, args.max_states
     if bound is None and states is None:
         return None
     if bound is None:
@@ -157,12 +158,12 @@ def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[Enumera
     return EnumerationBudget(bound, states)
 
 
-def _build_basis(cycle: EdgeLabeledCycle, kind: str, args: argparse.Namespace) -> FlowUpBasis:
+def _build_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
     if kind == "triangulation":
         return triangulation_basis(cycle)
     if kind == "king":
         return king_basis(cycle)
-    return smallest_basis(cycle, getattr(args, "bound", None), getattr(args, "max_states", None))
+    return smallest_basis(cycle)
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
@@ -214,9 +215,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "basis")
-    _budget_for(args, cycle)  # validate the flags even for closed-form kinds
-    basis = _build_basis(cycle, args.kind, args)
+    basis = _build_basis(_require_cycle(_load_target(args), "basis"), args.kind)
     lines = [
         f"{basis.symbol}{k}: {_spline_text(element.entries)}"
         for k, element in enumerate(basis.elements)
@@ -228,7 +227,6 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     cycle = _require_cycle(_load_target(args), "decompose")
-    _budget_for(args, cycle)
     values = _parse_labels(args, cycle.n)
     check = is_spline(cycle, values)
     if not check.ok:
@@ -236,7 +234,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             print(v.describe(), file=sys.stderr)
         print("not a spline; nothing to decompose", file=sys.stderr)
         return EXIT_DOMAIN
-    basis = _build_basis(cycle, args.kind, args)
+    basis = _build_basis(cycle, args.kind)
     coefficients = decompose(Spline(tuple(values)), basis)
     _emit(args, {"coefficients": list(coefficients)}, [_spline_text(coefficients)])
     return EXIT_OK
@@ -244,14 +242,13 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_multiply(args: argparse.Namespace) -> int:
     cycle = _require_cycle(_load_target(args), "multiply")
-    _budget_for(args, cycle)
     if not (0 <= args.i <= cycle.n - 1 and 0 <= args.j <= cycle.n - 1):
         raise _InputError(f"--i and --j must be in [0, {cycle.n - 1}], got ({args.i}, {args.j})")
     if args.kind == "king":
         cell = king_product(cycle, args.i, args.j)
         symbol = "K"
     else:
-        basis = _build_basis(cycle, args.kind, args)
+        basis = _build_basis(cycle, args.kind)
         cell = product_in_basis(basis, args.i, args.j)
         symbol = basis.symbol
     payload = {"product": {"i": cell.i, "j": cell.j, "terms": [list(t) for t in cell.terms]}}
@@ -309,10 +306,10 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
         raise _InputError("give --kind to check a constructed basis or --candidates for explicit ones")
     if args.kind is not None and args.candidates is not None:
         raise _InputError("give either --kind or --candidates, not both")
-    budget = _budget_for(args, target)  # before --kind smallest searches with it
+    budget = _budget_for(args, target)  # malformed flags exit 2 before any work
     if args.kind is not None:
         cycle = _require_cycle(target, "oracle check-basis --kind")
-        candidates = list(_build_basis(cycle, args.kind, args).elements)
+        candidates = list(_build_basis(cycle, args.kind).elements)
     else:
         candidates = [
             Spline(tuple(_parse_int_list(part, "--candidates")))
@@ -337,11 +334,11 @@ def _cmd_oracle_extension(args: argparse.Namespace) -> int:
     values = _parse_labels(args, cycle.n)
     if not 0 <= args.k <= cycle.n - 1:
         raise _InputError(f"--k must be in [0, {cycle.n - 1}], got {args.k}")
-    try:
-        ok = verify_triangulated_extension(cycle, args.k, values)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    found = leading_zeros(values)
+    if found != args.k:
+        print(f"error: expected exactly {args.k} leading zeros, found {found}", file=sys.stderr)
         return EXIT_DOMAIN
+    ok = verify_triangulated_extension(cycle, args.k, values)
     _emit(
         args,
         {"ok": ok},
@@ -387,18 +384,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("basis", help="construct a flow-up basis")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("decompose", help="write a spline in a flow-up basis")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--labels", required=True, help="comma-separated vertex labels")
     p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("multiply", help="product of two basis elements, in the basis")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
     p.add_argument("--i", type=int, required=True, help="first basis index")
     p.add_argument("--j", type=int, required=True, help="second basis index")

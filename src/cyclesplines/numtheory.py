@@ -16,23 +16,6 @@ import math
 from .errors import NoSolutionError, NotInvertibleError, _int_text
 
 
-def egcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: return (g, s, t) with g = gcd(a, b) >= 0 and a*s + b*t = g."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def lcm(a: int, b: int) -> int:
     """Least common multiple of two positive integers."""
     if a <= 0 or b <= 0:

@@ -141,7 +141,8 @@ def _king_cell(cycle, i: int, j: int, tail) -> ProductDecomposition:
     numerator = tail(j) * (tail(i) - l_i)
     if numerator % k_last != 0:
         raise InvariantViolationError(
-            f"king product coefficient {numerator}/{k_last} is not integral"
+            f"king product coefficient {_int_text(numerator)}/{_int_text(k_last)} "
+            f"is not integral"
         )
     return ProductDecomposition(
         i, j, _terms(((j, l_i), (n - 1, numerator // k_last)))
@@ -217,7 +218,8 @@ def triangulation_table_3cycle(cycle) -> list[list[ProductDecomposition]]:
     numerator = h3 * (h3 - h2)
     if numerator % t3 != 0:
         raise InvariantViolationError(
-            f"triangulation product coefficient {numerator}/{t3} is not integral"
+            f"triangulation product coefficient {_int_text(numerator)}/{_int_text(t3)} "
+            f"is not integral"
         )
     phi = numerator // t3
     cells = {

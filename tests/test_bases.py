@@ -11,10 +11,12 @@ from cyclesplines import (
     FlowUpBasis,
     KingPreconditionError,
     Spline,
+    brute_force_smallest,
     check_flow_up_basis,
     is_spline,
     king_basis,
     smallest_basis,
+    smallest_class_bound,
     smallest_flow_up_class,
     smallest_leading_entry,
     triangulation_basis,
@@ -228,6 +230,60 @@ def test_smallest_class_dominated_by_triangulation(rng):
             tri = triangulation_spline(cycle, k)
             assert small.entries[k] == smallest_leading_entry(cycle, k)
             assert all(a <= b for a, b in zip(small, tri))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=5), st.data())
+def test_smallest_flow_up_class_matches_brute_force(labels, data):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    k = data.draw(st.integers(1, cycle.n - 1))
+    assert smallest_flow_up_class(cycle, k) == brute_force_smallest(cycle, k)
+
+
+def test_smallest_flow_up_class_k_bounds():
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    for bad in (0, 3, -1):
+        with pytest.raises(IndexError, match=r"k must be in \[1, 2\]"):
+            smallest_flow_up_class(cycle, bad)
+
+
+def first_primes(count):
+    primes = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def assert_smallest_below_triangulation(cycle):
+    small = smallest_basis(cycle)
+    tri = triangulation_basis(cycle)
+    assert check_flow_up_basis(cycle, list(small)).ok
+    for k in range(1, cycle.n):
+        assert all(0 < s <= t for s, t in zip(small[k].entries[k:], tri[k].entries[k:]))
+    for k in (1, cycle.n // 2, cycle.n - 1):
+        assert small[k] == smallest_flow_up_class(cycle, k)
+    # every entry is a least positive solution, so at most its step's lcm
+    assert max(max(element) for element in small) <= smallest_class_bound(cycle)
+
+
+def test_smallest_basis_at_n_1000(rng):
+    cycle = random_cycle(rng, n_range=(1000, 1000), label_range=(1, 30))
+    assert_smallest_below_triangulation(cycle)
+
+
+def test_smallest_basis_on_wide_coprime_quotients():
+    # label(i) = P / p_i for P the product of the first 80 primes: every
+    # chain step has mult > 1, so the pinned triangulation entries grow
+    # with k while the smallest ones stay at label size
+    primes = first_primes(80)
+    product = math.prod(primes)
+    cycle = EdgeLabeledCycle(tuple(product // p for p in primes))
+    assert_smallest_below_triangulation(cycle)
+    widest = max(max(element) for element in triangulation_basis(cycle))
+    assert max(max(element) for element in smallest_basis(cycle)) < widest
 
 
 def test_random_king_cycles_have_coprime_tail(rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from cyclesplines import (
     EdgeLabeledCycle,
     Spline,
+    check_flow_up_basis,
     decompose,
     king_basis,
     king_product,
@@ -19,7 +20,7 @@ from cyclesplines import (
     reconstruct,
     triangulation_basis,
 )
-from cyclesplines import cli
+from cyclesplines import cli, oracle
 from cyclesplines.cli import main
 
 
@@ -370,6 +371,47 @@ def test_bare_value_error_is_a_bug_not_a_domain_failure(monkeypatch, capsys):
     with pytest.raises(ValueError, match="internal failure"):
         main(["basis", "--cycle", "2,5,3", "--kind", "triangulation"])
     assert capsys.readouterr().err == ""
+
+
+def test_oracle_extension_bug_is_not_a_domain_failure(monkeypatch, capsys):
+    # the zero-count precondition is checked before the call, so a
+    # ValueError from inside the check is a bug and propagates
+    def broken(cycle):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(oracle, "triangulated_graph", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["oracle", "extension", "--cycle", "2,6,15,10", "--k", "1",
+              "--labels", "0,2,50,200"])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["basis", "decompose", "multiply"])
+@pytest.mark.parametrize("flag", ["--bound", "--max-states"])
+def test_closed_form_commands_take_no_search_flags(capsys, command, flag):
+    extra = {
+        "basis": (),
+        "decompose": ("--labels", "1,3,13"),
+        "multiply": ("--i", "1", "--j", "2"),
+    }[command]
+    code, out, err = run(
+        capsys, command, "--cycle", "2,5,3", "--kind", "smallest", *extra, flag, "5"
+    )
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
+
+
+def test_smallest_basis_with_30_digit_labels(capsys):
+    labels = [10**29 + 7 * i + 3 for i in range(40)]
+    code, payload, _ = run_json(
+        capsys, "basis", "--cycle", ",".join(map(str, labels)), "--kind", "smallest",
+        "--format", "machine",
+    )
+    assert code == 0
+    assert payload["kind"] == "smallest"
+    cycle = EdgeLabeledCycle(tuple(labels))
+    assert check_flow_up_basis(cycle, [Spline(tuple(e)) for e in payload["basis"]]).ok
 
 
 def test_argparse_errors_exit_2(capsys):

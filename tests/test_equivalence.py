@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import egcd
 from cyclesplines import (
     BasisStructureError,
     EdgeLabeledCycle,
@@ -25,7 +26,6 @@ from cyclesplines import (
     check_basis_by_definition,
     check_flow_up_basis,
     decompose,
-    egcd,
     is_spline,
     king_basis,
     king_product,

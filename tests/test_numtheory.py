@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import egcd
 from cyclesplines import (
     NoSolutionError,
     NotInvertibleError,
-    egcd,
     lcm,
     mod_inverse,
     solve_congruence_pair,

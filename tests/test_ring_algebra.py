@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from conftest import random_king_cycle
 from cyclesplines import (
     DimensionError,
     EdgeLabeledCycle,
+    FlowUpBasis,
+    InvariantViolationError,
     NotInSpanError,
     ProductDecomposition,
     Spline,
@@ -19,7 +23,9 @@ from cyclesplines import (
     smallest_basis,
     triangulation_basis,
     triangulation_table_3cycle,
+    trivial_spline,
 )
+from cyclesplines import ring_algebra
 
 desk_labels = st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=6)
 coefficients = st.integers(min_value=-(10**6), max_value=10**6)
@@ -202,3 +208,33 @@ def test_product_in_basis_smallest_kind():
         for j in range(cycle.n):
             cell = product_in_basis(basis, i, j)
             assert cell.reconstruct(basis) == pointwise_mul(basis[i], basis[j])
+
+
+# ------------------------------------------------- messages at any size
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit"
+)
+def test_invariant_messages_survive_the_digit_limit(monkeypatch):
+    # both integrality checks always pass on real input, so force a
+    # non-integral coefficient over a denominator wider than the limit
+    wide = 10**4400
+    cycle = EdgeLabeledCycle((2, 5, 3, 7))
+    fake_basis = FlowUpBasis(
+        EdgeLabeledCycle((2, 5, 3)),
+        (trivial_spline(3), Spline((0, 1, 2)), Spline((0, 0, wide))),
+        "triangulation",
+    )
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        monkeypatch.setattr(ring_algebra, "_king_tail", lambda cycle: (wide, 1, 2))
+        with pytest.raises(InvariantViolationError, match="8/<4401-digit integer>"):
+            king_product(cycle, 1, 1)
+        monkeypatch.setattr(ring_algebra, "triangulation_basis", lambda cycle: fake_basis)
+        with pytest.raises(InvariantViolationError, match="2/<4401-digit integer>"):
+            triangulation_table_3cycle(EdgeLabeledCycle((2, 5, 3)))
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
