@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import KingPreconditionError, _int_text
-from .numtheory import congruence_step, lcm
+from .errors import KingPreconditionError, _dataclass_repr, _int_text
+from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
     Spline,
@@ -60,30 +60,16 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     never raises.  k = 0 returns the all-ones spline.
 
     The moduli of step i do not depend on k, so the chain costs O(n) number
-    theory per cycle (see :func:`congruence_step`) and then one multiply,
-    or a reset to the second modulus, per entry.
+    theory once per cycle, which keeps the steps (see :func:`congruence_step`),
+    and then one multiply, or a reset to the second modulus, per entry.
     """
     n = cycle.n
     if not 0 <= k <= n - 1:
         raise IndexError(f"k must be in [0, {n - 1}], got {k}")
-    return _chain_element(_chain_steps(cycle), n, k, least=False)
+    return _chain_element(cycle._chain_steps, n, k, least=False)
 
 
-def _chain_steps(cycle: EdgeLabeledCycle) -> list[tuple[int, int]]:
-    # slot i - 2 holds (mult, lcm(a, b)) for the step that produces entry i
-    # from entry i - 1, for i in [2, n], with a = label(i - 1) and
-    # b = suffix_gcd(i).  Entry i - 1 is a multiple of suffix_gcd(i - 1) =
-    # gcd(a, b), so every step is solvable, and its solutions form one
-    # residue class modulo lcm(a, b): that of entry * mult, or of b when
-    # mult is 0.
-    steps = []
-    for a, b in zip(cycle.labels, cycle._suffix_gcds[1:]):
-        g, mult = congruence_step(a, b)
-        steps.append((mult, a // g * b))
-    return steps
-
-
-def _chain_element(steps: list[tuple[int, int]], n: int, k: int, least: bool) -> Spline:
+def _chain_element(steps: Sequence[tuple[int, int]], n: int, k: int, least: bool) -> Spline:
     """Element k of the chain: the pinned representative of each step, or
     with ``least`` the least positive one.  Its leading entry is m_k, the
     lcm of the step into position k + 1."""
@@ -106,6 +92,7 @@ class FlowUpBasis:
     cycle: EdgeLabeledCycle
     elements: tuple[Spline, ...]
     kind: str = "custom"
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         if self.kind not in BASIS_KINDS:
@@ -138,9 +125,8 @@ def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
 
 
 def _chain_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
-    steps = _chain_steps(cycle)
     least = kind == "smallest"
-    elements = (_chain_element(steps, cycle.n, k, least) for k in range(cycle.n))
+    elements = (_chain_element(cycle._chain_steps, cycle.n, k, least) for k in range(cycle.n))
     return FlowUpBasis(cycle, tuple(elements), kind)
 
 
@@ -185,6 +171,7 @@ class BasisDefect:
     reason: str
     expected: Optional[int] = None
     actual: Optional[int] = None
+    __repr__ = _dataclass_repr
 
     def describe(self) -> str:
         text = f"element {self.index}: {self.reason}"
@@ -199,6 +186,7 @@ class BasisCheck:
 
     ok: bool
     defects: tuple[BasisDefect, ...]
+    __repr__ = _dataclass_repr
 
     def __bool__(self) -> bool:
         return self.ok
@@ -263,7 +251,7 @@ def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
     n = cycle.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"k must be in [1, {n - 1}], got {k}")
-    return _chain_element(_chain_steps(cycle), n, k, least=True)
+    return _chain_element(cycle._chain_steps, n, k, least=True)
 
 
 def smallest_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:

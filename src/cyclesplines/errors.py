@@ -6,6 +6,7 @@ the closest builtin (ValueError, ArithmeticError, RuntimeError) keeps the
 types usable in generic code that never imports this module.
 """
 
+import dataclasses
 import math
 
 
@@ -64,3 +65,18 @@ def _int_text(value: int) -> str:
         digits += magnitude >= 10**digits
         digits -= magnitude < 10 ** (digits - 1)
         return f"{'-' if value < 0 else ''}<{digits}-digit integer>"
+
+
+def _dataclass_repr(self) -> str:
+    """The package's dataclasses' repr: the default one, with every int, also
+    inside tuples, written by :func:`_int_text`, so it works at any width."""
+    fields = (f"{f.name}={_repr_text(getattr(self, f.name))}" for f in dataclasses.fields(self) if f.repr)
+    return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+def _repr_text(value) -> str:
+    if type(value) is int:
+        return _int_text(value)
+    if type(value) is tuple:
+        return f"({', '.join(map(_repr_text, value))}{',' if len(value) == 1 else ''})"
+    return repr(value)

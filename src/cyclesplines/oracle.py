@@ -1,19 +1,22 @@
 """Exhaustive desk-scale search over splines.
 
 Everything here certifies the closed-form constructions by direct
-enumeration: walk the vertices in order and extend a partial labeling
-through the residue classes its edges allow, never consulting the formulas
-under test.  Intended for small instances only (roughly n <= 6 and labels
-<= 12); every search carries an :class:`EnumerationBudget` and aborts with
-:class:`BudgetExceededError` rather than running away.
+enumeration, never consulting the formulas under test.  One enumerator
+serves cycles and general graphs: it fills the vertices in order, each
+walking the residue class of its largest-label edge to an earlier vertex,
+filtered by its other such edges.  For small instances only (roughly n <= 6,
+labels <= 12); every search carries an :class:`EnumerationBudget`, whose
+state limit (``--max-states``) counts the candidate values considered, and
+aborts with :class:`BudgetExceededError` rather than running away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, InvariantViolationError
+from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr
 from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
@@ -23,8 +26,10 @@ from .spline_core import (
     SplineLike,
     _check_flow_up_family,
     is_spline,
+    labeled_edges,
     leading_zeros,
     spline_entries,
+    vertex_count,
 )
 
 DEFAULT_MAX_STATES = 5_000_000
@@ -36,11 +41,13 @@ class EnumerationBudget:
 
     ``entry_bound`` caps every entry of an enumerated labeling (the box is
     [0, entry_bound] per vertex) and ``max_states`` caps how many candidate
-    values the search may consider before giving up.
+    values the search may consider, each residue class it walks being
+    charged in full as the walk starts.
     """
 
     entry_bound: int
     max_states: int = DEFAULT_MAX_STATES
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         if self.entry_bound < 1:
@@ -82,48 +89,12 @@ class _StateCounter:
         self.left = limit
         self.limit = limit
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, count: int) -> None:
+        self.left -= count
         if self.left < 0:
             raise BudgetExceededError(
                 f"enumeration exceeded its budget of {self.limit} states"
             )
-
-
-def _iter_cycle_flow_up(
-    cycle: EdgeLabeledCycle, k: int, budget: EnumerationBudget
-) -> Iterator[tuple[int, ...]]:
-    """Yield entry tuples of splines with >= k leading zeros, entries in the box.
-
-    Positions are filled left to right; the value at position i + 1 ranges
-    over the residue class of the value at position i modulo label(i), and
-    the last position is additionally filtered by the wrap-around edge.
-    """
-    n = cycle.n
-    if not 1 <= k <= n - 1:
-        raise IndexError(f"k must be in [1, {n - 1}], got {k}")
-    labels = cycle.labels
-    bound = budget.entry_bound
-    counter = _StateCounter(budget.max_states)
-    wrap = labels[n - 1]
-    acc = [0] * n
-
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
-        prev = acc[pos - 2]
-        step = labels[pos - 2]
-        last = pos == n
-        for val in range(prev % step, bound + 1, step):
-            counter.spend()
-            if last:
-                if val % wrap == 0:
-                    acc[pos - 1] = val
-                    yield tuple(acc)
-            else:
-                acc[pos - 1] = val
-                yield from extend(pos + 1)
-        acc[pos - 1] = 0
-
-    return extend(k + 1)
 
 
 def enumerate_flow_up_splines(
@@ -131,9 +102,11 @@ def enumerate_flow_up_splines(
 ) -> list[Spline]:
     """All splines on the cycle with at least k leading zeros and entries in
     [0, budget.entry_bound], zero spline included."""
+    if not 1 <= k <= cycle.n - 1:
+        raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     if budget is None:
         budget = default_budget(cycle)
-    return [Spline(t) for t in _iter_cycle_flow_up(cycle, k, budget)]
+    return [Spline(t) for t in _iter_graph_splines(cycle, k, budget)]
 
 
 def brute_force_smallest(
@@ -149,10 +122,12 @@ def brute_force_smallest(
     so attainment is automatic; it is still re-checked against the edge
     congruences, and a failure there would be a bug in the enumerator.
     """
+    if not 1 <= k <= cycle.n - 1:
+        raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     if budget is None:
         budget = EnumerationBudget(smallest_class_bound(cycle))
     best: Optional[tuple[int, ...]] = None
-    for t in _iter_cycle_flow_up(cycle, k, budget):
+    for t in _iter_graph_splines(cycle, k, budget):
         if 0 in t[k:]:
             continue
         if best is None or t < best:
@@ -192,45 +167,48 @@ def verify_triangulated_extension(cycle: EdgeLabeledCycle, k: int, h: SplineLike
     return bool(is_spline(triangulated_graph(cycle), entries))
 
 
-def _lower_constraints(graph: EdgeLabeledGraph) -> list[list[tuple[int, int]]]:
-    # slot t holds the (lower endpoint, label) pairs of edges whose higher
-    # endpoint is t; each edge is checked when its higher vertex is assigned
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(graph.vertex_count + 1)]
-    for u, v, lab in graph.edges:
-        a, b = (u, v) if u < v else (v, u)
-        lower[b].append((a, lab))
-    return lower
+def _lower_constraints(graph: GraphLike) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    # slot t plans vertex t from its edges to earlier vertices, written
+    # (lower endpoint - 1, label): it walks the residue class of the one with
+    # the largest label (the first listed among equals, the sort being
+    # stable) and is filtered by the rest.  A label-1 edge, which every value
+    # satisfies, stands in for none.
+    lower: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count(graph) + 1)]
+    for _, u, v, lab in sorted(labeled_edges(graph), key=itemgetter(3), reverse=True):
+        lower[max(u, v)].append((min(u, v) - 1, lab))
+    return [(*cons[0], cons[1:]) if cons else (0, 1, []) for cons in lower]
 
 
 def _iter_graph_splines(
-    graph: EdgeLabeledGraph, min_leading_zeros: int, budget: EnumerationBudget
+    graph: GraphLike, min_leading_zeros: int, budget: EnumerationBudget
 ) -> Iterator[tuple[int, ...]]:
-    """Yield entry tuples of splines on a general graph with the first
-    ``min_leading_zeros`` vertices pinned to zero and entries in the box."""
-    n = graph.vertex_count
+    """Yield entry tuples of splines on a cycle or general graph with the
+    first ``min_leading_zeros`` vertices pinned to zero and entries in the
+    box, in ascending lexicographic order; planned once per search."""
+    n = vertex_count(graph)
     if not 0 <= min_leading_zeros <= n:
         raise IndexError(f"leading zero count must be in [0, {n}], got {min_leading_zeros}")
+    if min_leading_zeros == n:
+        return iter([(0,) * n])
     bound = budget.entry_bound
     counter = _StateCounter(budget.max_states)
-    lower = _lower_constraints(graph)
+    plan = _lower_constraints(graph)
     acc = [0] * n
 
     def extend(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos > n:
-            yield tuple(acc)
-            return
-        cons = lower[pos]
-        if cons:
-            # walk the sparsest residue class and filter by the rest
-            u0, lab0 = max(cons, key=lambda c: c[1])
-            candidates = range(acc[u0 - 1] % lab0, bound + 1, lab0)
-        else:
-            candidates = range(0, bound + 1)
-        for val in candidates:
-            counter.spend()
-            if all((val - acc[u - 1]) % lab == 0 for u, lab in cons):
+        i0, lab0, rest = plan[pos]
+        walk = range(acc[i0] % lab0, bound + 1, lab0)
+        counter.spend(len(walk))
+        for val in walk:
+            for i, lab in rest:
+                if (val - acc[i]) % lab:
+                    break
+            else:
                 acc[pos - 1] = val
-                yield from extend(pos + 1)
+                if pos == n:
+                    yield tuple(acc)
+                else:
+                    yield from extend(pos + 1)
         acc[pos - 1] = 0
 
     return extend(min_leading_zeros + 1)
@@ -255,20 +233,17 @@ def check_basis_by_definition(
     class itself refutes any strict multiple).  For a general graph the
     default is the label-product bound.
     """
-    if isinstance(graph, EdgeLabeledCycle):
-        if budget is None:
+    if budget is None:
+        if isinstance(graph, EdgeLabeledCycle):
             budget = EnumerationBudget(smallest_class_bound(graph))
-        work_graph = graph.as_graph()
-    else:
-        if budget is None:
+        else:
             budget = default_budget(graph)
-        work_graph = graph
-    cands = _check_flow_up_family(candidates, work_graph.vertex_count, "candidate", graph)
+    cands = _check_flow_up_family(candidates, vertex_count(graph), "candidate", graph)
     for i, cand in enumerate(cands):
         lead = cand.entries[i]
         if abs(lead) == 1:
             continue
-        for t in _iter_graph_splines(work_graph, i, budget):
+        for t in _iter_graph_splines(graph, i, budget):
             if t[i] % lead != 0:
                 return False
     return True

@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Sequence
 
 from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
-from .errors import DimensionError, InvariantViolationError, NotInSpanError, _int_text
+from .errors import DimensionError, InvariantViolationError, NotInSpanError, _dataclass_repr, _int_text
 from .spline_core import Spline, SplineLike, spline_entries
 
 
@@ -75,6 +75,7 @@ class ProductDecomposition:
     i: int
     j: int
     terms: tuple[tuple[int, int], ...]
+    __repr__ = _dataclass_repr
 
     def coefficients(self, n: int) -> tuple[int, ...]:
         """Dense coefficient vector of length n."""
@@ -120,13 +121,10 @@ def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition
     return ProductDecomposition(i, j, tuple(terms))
 
 
-def _king_product_in(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition:
-    return _king_cell(basis.cycle, i, j, lambda k: basis.elements[k].entries[-1])
-
-
-def _king_cell(cycle, i: int, j: int, tail) -> ProductDecomposition:
-    """The king product of elements i and j, given ``tail(k)``, the last
-    entry of king element k."""
+def _king_cell(cycle, i: int, j: int, a: int, b: int, inv: int) -> ProductDecomposition:
+    """The king product of elements i and j, from the (a, b, inv) of
+    :func:`king_basis`: element k ends in k_k = l_k * b * inv, and element
+    n - 1 in k_{n-1} = a * b."""
     n = cycle.n
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise IndexError(f"indices must be in [0, {n - 1}], got ({i}, {j})")
@@ -134,11 +132,12 @@ def _king_cell(cycle, i: int, j: int, tail) -> ProductDecomposition:
         i, j = j, i
     if i == 0:
         return ProductDecomposition(i, j, ((j, 1),))
-    k_last = tail(n - 1)
-    if j == n - 1:
-        return ProductDecomposition(i, j, _terms(((n - 1, tail(i)),)))
+    k_last = a * b
     l_i = cycle.label(i)
-    numerator = tail(j) * (tail(i) - l_i)
+    k_i = k_last if i == n - 1 else l_i * b * inv
+    if j == n - 1:
+        return ProductDecomposition(i, j, _terms(((n - 1, k_i),)))
+    numerator = cycle.label(j) * b * inv * (k_i - l_i)
     if numerator % k_last != 0:
         raise InvariantViolationError(
             f"king product coefficient {_int_text(numerator)}/{_int_text(k_last)} "
@@ -163,9 +162,7 @@ def king_product(cycle, i: int, j: int) -> ProductDecomposition:
     The k_i come straight from :func:`king_basis`'s closed form (k_i =
     l_i * b * inv, k_{n-1} = a * b), so no basis is built.
     """
-    a, b, inv = _king_tail(cycle)
-    n = cycle.n
-    return _king_cell(cycle, i, j, lambda k: a * b if k == n - 1 else cycle.label(k) * b * inv)
+    return _king_cell(cycle, i, j, *_king_tail(cycle))
 
 
 def _verify_cell(basis: FlowUpBasis, cell: ProductDecomposition) -> None:
@@ -186,11 +183,12 @@ def king_multiplication_table(cycle) -> list[list[ProductDecomposition]]:
     """Symmetric n x n table of king products; every cell is double-checked
     against the componentwise product via :func:`decompose` before return."""
     basis = king_basis(cycle)
+    tail = _king_tail(cycle)
     n = len(basis)
     table: list[list[ProductDecomposition]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         for j in range(i, n):
-            cell = _king_product_in(basis, i, j)
+            cell = _king_cell(cycle, i, j, *tail)
             _verify_cell(basis, cell)
             table[i][j] = table[j][i] = cell
     return table

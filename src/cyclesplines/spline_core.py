@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence, Union
 
-from .errors import BasisStructureError, DimensionError, _int_text
+from .errors import BasisStructureError, DimensionError, _dataclass_repr, _int_text
+from .numtheory import congruence_step
 
 
 def _as_int_tuple(values, what: str) -> tuple[int, ...]:
@@ -42,6 +43,7 @@ class EdgeLabeledCycle:
     """
 
     labels: tuple[int, ...]
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         labels = _as_int_tuple(self.labels, "edge labels")
@@ -72,6 +74,20 @@ class EdgeLabeledCycle:
             out[i] = g
         return tuple(out)
 
+    @cached_property
+    def _chain_steps(self) -> tuple[tuple[int, int], ...]:
+        # slot i - 2 holds (mult, lcm(a, b)) for the step of the flow-up
+        # chain that produces entry i from entry i - 1, for i in [2, n], with
+        # a = label(i - 1) and b = suffix_gcd(i).  Entry i - 1 is a multiple
+        # of suffix_gcd(i - 1) = gcd(a, b), so every step is solvable, and
+        # its solutions form one residue class modulo lcm(a, b): that of
+        # entry * mult, or of b when mult is 0.
+        steps = []
+        for a, b in zip(self.labels, self._suffix_gcds[1:]):
+            g, mult = congruence_step(a, b)
+            steps.append((mult, a // g * b))
+        return tuple(steps)
+
     def suffix_gcd(self, i: int) -> int:
         """gcd of the labels of edges i, i + 1, ..., n; defined for 1 <= i <= n."""
         if not 1 <= i <= self.n:
@@ -100,6 +116,7 @@ class EdgeLabeledGraph:
 
     vertex_count: int
     edges: tuple[tuple[int, int, int], ...]
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         count = operator.index(self.vertex_count)
@@ -132,6 +149,7 @@ class Spline:
     """
 
     entries: tuple[int, ...]
+    __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _as_int_tuple(self.entries, "spline entries"))
@@ -216,6 +234,7 @@ class EdgeViolation:
     label: int
     value_u: int
     value_v: int
+    __repr__ = _dataclass_repr
 
     def describe(self) -> str:
         label, value_u, value_v = map(_int_text, (self.label, self.value_u, self.value_v))
@@ -232,6 +251,7 @@ class SplineCheck:
 
     ok: bool
     violations: tuple[EdgeViolation, ...]
+    __repr__ = _dataclass_repr
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,12 +1,12 @@
-"""Shared helpers: seeded RNG, random cycle factories and the extended
-Euclid reference."""
+"""Shared helpers: seeded RNG, random cycle factories, the extended Euclid
+reference and the oracle's former enumerators."""
 
 import math
 import random
 
 import pytest
 
-from cyclesplines import EdgeLabeledCycle
+from cyclesplines import BudgetExceededError, EdgeLabeledCycle
 
 SEED = 987654321
 
@@ -44,3 +44,101 @@ def egcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+# ------------------------------------------------ enumeration references
+# The two enumerators the oracle had before cycles went through the graph
+# walk, kept as written then.  The merged enumerator must yield the same
+# tuples in the same order.
+
+
+class ReferenceStates:
+    """One state per candidate value considered, as the references count."""
+
+    def __init__(self, limit):
+        self.left = limit
+        self.limit = limit
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise BudgetExceededError(f"enumeration exceeded its budget of {self.limit} states")
+
+
+def reference_cycle_flow_up(cycle, k, budget):
+    """Entry tuples of splines on the cycle with >= k leading zeros: position
+    i + 1 walks the residue class of position i modulo label(i), and the
+    last position is also filtered by the wrap-around edge."""
+    n = cycle.n
+    if not 1 <= k <= n - 1:
+        raise IndexError(f"k must be in [1, {n - 1}], got {k}")
+    labels = cycle.labels
+    bound = budget.entry_bound
+    counter = ReferenceStates(budget.max_states)
+    wrap = labels[n - 1]
+    acc = [0] * n
+
+    def extend(pos):
+        prev = acc[pos - 2]
+        step = labels[pos - 2]
+        last = pos == n
+        for val in range(prev % step, bound + 1, step):
+            counter.spend()
+            if last:
+                if val % wrap == 0:
+                    acc[pos - 1] = val
+                    yield tuple(acc)
+            else:
+                acc[pos - 1] = val
+                yield from extend(pos + 1)
+        acc[pos - 1] = 0
+
+    return extend(k + 1)
+
+
+def reference_graph_splines(graph, min_leading_zeros, budget):
+    """Entry tuples of splines on a general graph with the first
+    ``min_leading_zeros`` vertices pinned to zero: each vertex walks the
+    class of its largest-label lower edge and checks all of its lower edges."""
+    n = graph.vertex_count
+    if not 0 <= min_leading_zeros <= n:
+        raise IndexError(f"leading zero count must be in [0, {n}], got {min_leading_zeros}")
+    bound = budget.entry_bound
+    counter = ReferenceStates(budget.max_states)
+    lower = [[] for _ in range(n + 1)]
+    for u, v, lab in graph.edges:
+        a, b = (u, v) if u < v else (v, u)
+        lower[b].append((a, lab))
+    acc = [0] * n
+
+    def extend(pos):
+        if pos > n:
+            yield tuple(acc)
+            return
+        cons = lower[pos]
+        if cons:
+            u0, lab0 = max(cons, key=lambda c: c[1])
+            candidates = range(acc[u0 - 1] % lab0, bound + 1, lab0)
+        else:
+            candidates = range(0, bound + 1)
+        for val in candidates:
+            counter.spend()
+            if all((val - acc[u - 1]) % lab == 0 for u, lab in cons):
+                acc[pos - 1] = val
+                yield from extend(pos + 1)
+        acc[pos - 1] = 0
+
+    return extend(min_leading_zeros + 1)
+
+
+def reference_check_basis(graph, candidates, budget):
+    """The basis condition by definition over :func:`reference_graph_splines`,
+    for well-formed flow-up candidates."""
+    for i, cand in enumerate(candidates):
+        lead = cand[i]
+        if abs(lead) == 1:
+            continue
+        for t in reference_graph_splines(graph, i, budget):
+            if t[i] % lead != 0:
+                return False
+    return True

@@ -22,6 +22,7 @@ from cyclesplines import (
     triangulation_basis,
     triangulation_spline,
 )
+from cyclesplines import spline_core
 
 desk_labels = st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=6)
 
@@ -284,6 +285,24 @@ def test_smallest_basis_on_wide_coprime_quotients():
     assert_smallest_below_triangulation(cycle)
     widest = max(max(element) for element in triangulation_basis(cycle))
     assert max(max(element) for element in smallest_basis(cycle)) < widest
+
+
+def test_chain_steps_are_built_once_per_cycle(monkeypatch, rng):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return congruence_step(a, b)
+
+    congruence_step = spline_core.congruence_step
+    monkeypatch.setattr(spline_core, "congruence_step", counting)
+    cycle = random_cycle(rng, n_range=(60, 60))
+    singles = [triangulation_spline(cycle, k) for k in range(cycle.n)]
+    smallest = [smallest_flow_up_class(cycle, k) for k in range(1, cycle.n)]
+    assert len(calls) == cycle.n - 1
+    assert tuple(singles) == triangulation_basis(cycle).elements
+    assert tuple(smallest) == smallest_basis(cycle).elements[1:]
+    assert len(calls) == cycle.n - 1
 
 
 def test_random_king_cycles_have_coprime_tail(rng):

@@ -5,27 +5,43 @@ the library's shared step table, trusted constructors or vectorized checks
 cannot move both sides at once.
 """
 
+import dataclasses
+import functools
 import math
+import sys
+from itertools import islice
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import egcd
+from conftest import (
+    egcd,
+    reference_check_basis,
+    reference_cycle_flow_up,
+    reference_graph_splines,
+)
 from cyclesplines import (
+    BasisCheck,
+    BasisDefect,
     BasisStructureError,
     EdgeLabeledCycle,
     EdgeLabeledGraph,
     EdgeViolation,
+    EnumerationBudget,
     FlowUpBasis,
     KingPreconditionError,
     NotInSpanError,
     NotInvertibleError,
+    ProductDecomposition,
     Spline,
     SplineCheck,
+    brute_force_smallest,
     check_basis_by_definition,
     check_flow_up_basis,
     decompose,
+    default_budget,
+    enumerate_flow_up_splines,
     is_spline,
     king_basis,
     king_product,
@@ -33,12 +49,15 @@ from cyclesplines import (
     mod_inverse,
     product_in_basis,
     reconstruct,
+    smallest_class_bound,
     smallest_leading_entry,
     solve_congruence_pair,
+    triangulated_graph,
     triangulation_basis,
     triangulation_spline,
 )
 from cyclesplines import ring_algebra, spline_core
+from cyclesplines.oracle import _iter_graph_splines
 
 small_labels = st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=40)
 # runs of 1s and shared factors make the pinned reset (a // g == 1) common
@@ -275,7 +294,7 @@ def test_king_product_matches_built_basis(labels):
     n = cycle.n
     for i in range(n):
         for j in range(n):
-            assert king_product(cycle, i, j) == ring_algebra._king_product_in(basis, i, j)
+            assert king_product(cycle, i, j) == product_in_basis(basis, i, j)
 
 
 def test_king_product_builds_no_basis(monkeypatch):
@@ -389,3 +408,146 @@ def test_reconstruct_skips_float_zero_coefficients():
     # 0.5 and 2.0 are still rejected: test_reconstruct_still_rejects_non_integer_coefficients
     basis = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))
     assert reconstruct([1, 0.0, 1], basis) == reconstruct([1, 0, 1], basis)
+
+
+# --------------------------------------- one enumerator vs the former two
+
+oracle_cycles = st.lists(st.integers(min_value=1, max_value=8), min_size=3, max_size=5)
+# enough tuples to cover many leaf walks; the label-product box of a
+# five-cycle holds far more than can be listed
+PREFIX = 300
+
+
+def prefix(tuples, count=PREFIX):
+    return list(islice(tuples, count))
+
+
+@settings(deadline=None)
+@given(oracle_cycles)
+def test_cycle_enumeration_matches_former_enumerators(labels):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    tight = EnumerationBudget(smallest_class_bound(cycle))
+    product = default_budget(cycle)
+    for k in range(1, cycle.n):
+        found = [s.entries for s in enumerate_flow_up_splines(cycle, k, tight)]
+        assert found == list(reference_cycle_flow_up(cycle, k, tight))
+        assert found == list(reference_graph_splines(cycle.as_graph(), k, tight))
+        wide = prefix(_iter_graph_splines(cycle, k, product))
+        assert wide == prefix(reference_cycle_flow_up(cycle, k, product))
+        assert wide == prefix(reference_graph_splines(cycle.as_graph(), k, product))
+        if cycle.n == 3:
+            assert [s.entries for s in enumerate_flow_up_splines(cycle, k)] == list(
+                reference_cycle_flow_up(cycle, k, product)
+            )
+        best = min((t for t in found if 0 not in t[k:]), default=None)
+        assert brute_force_smallest(cycle, k).entries == best
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to five vertices with labels up to 6, repeated edges and
+    isolated vertices allowed, and edges listed in any order."""
+    n = draw(st.integers(1, 5))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 6)), max_size=8 if n > 1 else 0))
+    return EdgeLabeledGraph(n, tuple((u, v, lab) for (u, v), lab in edges))
+
+
+@settings(deadline=None)
+@given(small_graphs(), st.integers(1, 12), st.data())
+def test_graph_enumeration_matches_former_enumerator(graph, bound, data):
+    # more states than any search in the box can take, so neither side stops
+    budget = EnumerationBudget(bound, (bound + 2) ** (graph.vertex_count + 1))
+    zeros = data.draw(st.integers(0, graph.vertex_count))
+    assert prefix(_iter_graph_splines(graph, zeros, budget)) == prefix(
+        reference_graph_splines(graph, zeros, budget)
+    )
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=10), min_size=3, max_size=5), st.data())
+def test_basis_verdicts_match_former_enumerator(labels, data):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    box = EnumerationBudget(smallest_class_bound(cycle))
+    basis = list(triangulation_basis(cycle))
+    doubled = list(basis)
+    k = data.draw(st.integers(1, cycle.n - 1))
+    doubled[k] = doubled[k] * 2
+    chords = triangulated_graph(cycle)
+    for candidates in (basis, doubled):
+        verdict = reference_check_basis(cycle.as_graph(), candidates, box)
+        assert check_basis_by_definition(cycle, candidates) == verdict
+        assert check_basis_by_definition(cycle.as_graph(), candidates, box) == verdict
+        # triangulation elements satisfy the chords, so they are candidates there
+        assert check_basis_by_definition(chords, candidates, box) == reference_check_basis(
+            chords, candidates, box
+        )
+    assert check_basis_by_definition(cycle, basis)
+    assert not check_basis_by_definition(cycle, doubled)
+
+
+# ------------------------------------------------------ reprs at any width
+
+
+@functools.cache
+def default_repr_twin(cls):
+    """A dataclass with cls's name and fields that keeps the repr
+    @dataclass writes."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__qualname__, names, frozen=True)
+
+
+def default_repr(obj):
+    twin = default_repr_twin(type(obj))
+    return repr(twin(*(getattr(obj, f.name) for f in dataclasses.fields(twin))))
+
+
+def package_dataclasses(entries, labels, text):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    spline = Spline(tuple(entries))
+    violation = EdgeViolation(1, 1, 2, labels[0], entries[0], entries[1])
+    defect = BasisDefect(len(entries), text, entries[0], entries[-1])
+    return [
+        cycle,
+        cycle.as_graph(),
+        spline,
+        violation,
+        SplineCheck(False, (violation,)),
+        SplineCheck(True, ()),
+        triangulation_basis(cycle),
+        defect,
+        BasisDefect(0, text),
+        BasisCheck(False, (defect,)),
+        ProductDecomposition(0, 1, tuple(enumerate(entries))),
+        ProductDecomposition(0, 1, ((1, entries[0]),)),
+        EnumerationBudget(labels[0], labels[-1]),
+    ]
+
+
+@given(
+    st.lists(st.integers(-(10**40), 10**40), min_size=2, max_size=6),
+    st.lists(st.integers(1, 10**40), min_size=3, max_size=6),
+    st.text(max_size=8),
+)
+def test_repr_matches_default_dataclass_repr(entries, labels, text):
+    for obj in package_dataclasses(entries, labels, text):
+        assert repr(obj) == default_repr(obj)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int -> str digit limit"
+)
+@given(st.integers(4301, 4400), st.integers(-5, 5), st.booleans())
+def test_repr_past_the_digit_limit(digits, offset, negative):
+    limit = sys.get_int_max_str_digits()
+    wide = (10 ** (digits - 1) + abs(offset)) * (-1 if negative else 1)
+    text = f"{'-' if negative else ''}<{digits}-digit integer>"
+    assert repr(EdgeLabeledCycle((abs(wide), 2, 3))) == (
+        f"EdgeLabeledCycle(labels=(<{digits}-digit integer>, 2, 3))"
+    )
+    assert repr(Spline((wide,))) == f"Spline(entries=({text},))"
+    assert repr(BasisDefect(1, "x", wide, 1)) == (
+        f"BasisDefect(index=1, reason='x', expected={text}, actual=1)"
+    )
+    assert text in repr(SplineCheck(False, (EdgeViolation(1, 1, 2, 3, wide, 0),)))
+    assert sys.get_int_max_str_digits() == limit

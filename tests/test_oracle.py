@@ -22,7 +22,6 @@ from cyclesplines import (
     triangulation_spline,
     verify_triangulated_extension,
 )
-from cyclesplines.oracle import _iter_cycle_flow_up
 
 
 # --------------------------------------------------------------- budgets
@@ -78,11 +77,21 @@ def test_enumeration_budget_exceeded():
         enumerate_flow_up_splines(cycle, 1, EnumerationBudget(30, 5))
 
 
+def test_budget_counts_each_walked_value():
+    # k = 2 leaves only vertex 3, which walks the class of its label-5 edge,
+    # 0, 5, 10, 15, and filters by its label-3 edge: four states, two splines
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    found = enumerate_flow_up_splines(cycle, 2, EnumerationBudget(15, 4))
+    assert [s.entries for s in found] == [(0, 0, 0), (0, 0, 15)]
+    with pytest.raises(BudgetExceededError, match="budget of 3 states"):
+        enumerate_flow_up_splines(cycle, 2, EnumerationBudget(15, 3))
+
+
 def test_enumeration_k_bounds():
     cycle = EdgeLabeledCycle((2, 5, 3))
     for bad in (0, 3):
         with pytest.raises(IndexError):
-            list(_iter_cycle_flow_up(cycle, bad, EnumerationBudget(30)))
+            enumerate_flow_up_splines(cycle, bad, EnumerationBudget(30))
 
 
 # -------------------------------------------------------------- smallest
