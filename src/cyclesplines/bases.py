@@ -18,7 +18,9 @@ middle runs.  All three are closed forms and work at any n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import KingPreconditionError, _dataclass_repr, _int_text
@@ -87,7 +89,11 @@ def _chain_element(steps: Sequence[tuple[int, int]], n: int, k: int, least: bool
 @dataclass(frozen=True)
 class FlowUpBasis:
     """An indexed family of flow-up splines on a cycle, element k having
-    exactly k leading zeros."""
+    exactly k leading zeros.
+
+    Besides the elements, a basis keeps each element's jumps (see
+    :meth:`_jumps`), computed the first time they are asked for.
+    """
 
     cycle: EdgeLabeledCycle
     elements: tuple[Spline, ...]
@@ -99,6 +105,7 @@ class FlowUpBasis:
             raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         elements = _check_flow_up_family(self.elements, self.cycle.n, "element")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_jump_table", [None] * len(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -116,6 +123,21 @@ class FlowUpBasis:
 
     def leading_entries(self) -> tuple[int, ...]:
         return tuple(el.entries[k] for k, el in enumerate(self.elements))
+
+    def _jumps(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(positions, values) of the nonzero first differences of element k,
+        in ascending position order.  The first is (k, leading entry); king
+        and triangulation elements are runs of equal entries, so there are
+        few."""
+        jumps = self._jump_table[k]
+        if jumps is None:
+            e = self.elements[k].entries
+            # e is zero before position k, so its first jump is the leading entry
+            later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
+            positions = (k, *later)
+            values = (e[k], *[e[p] - e[p - 1] for p in positions[1:]])
+            jumps = self._jump_table[k] = positions, values
+        return jumps
 
 
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:

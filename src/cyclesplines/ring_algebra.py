@@ -2,18 +2,23 @@
 
 Because element k of a flow-up basis is the only one with a nonzero entry
 at position k + 1 among elements k..n - 1, coefficients can be peeled off
-front to back by exact division (forward substitution).  On top of that
-this module provides the closed-form products of king basis elements, the
-closed-form three-cycle table in the triangulation basis, and a generic
-product path (componentwise multiply, then decompose) that works in any
-flow-up basis on any cycle.
+front to back by exact division (forward substitution).  Peeling and
+combining work on first differences: king elements are constant runs and
+triangulation entries repeat wherever the chain multiplier is 1, so each
+element has few nonzero differences ("jumps"), and a step costs one per
+jump rather than one per position.  On top of that this module provides
+the closed-form products of king basis elements, the closed-form
+three-cycle table in the triangulation basis, and a generic product path
+(componentwise multiply, then decompose) that works in any flow-up basis
+on any cycle.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import compress
-from typing import Sequence
+from itertools import accumulate, compress
+from typing import Iterable, Sequence
 
 from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
 from .errors import DimensionError, InvariantViolationError, NotInSpanError, _dataclass_repr, _int_text
@@ -22,6 +27,10 @@ from .spline_core import Spline, SplineLike, spline_entries
 
 def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
     """Coefficients c with s equal to the sum of c[k] * basis[k].
+
+    Takes the first differences of s once and peels on them (see
+    :func:`_peel`): one C-level pass over the n positions plus O(jumps)
+    per nonzero coefficient.
 
     Raises :class:`NotInSpanError` when a peeling step hits a non-integer
     quotient.  A vector that fails the edge congruences always does: every
@@ -32,22 +41,62 @@ def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
     n = len(basis)
     if len(entries) != n:
         raise DimensionError(f"expected {n} entries, got {len(entries)}")
-    work = list(entries)
     coefficients = [0] * n
-    # compress reads work lazily: only still-nonzero remainders are visited
-    for k in compress(range(n), work):
-        element = basis.elements[k].entries
-        lead = element[k]
-        value = work[k]
+    # entries[p] - entries[p - 1] at every position, entries[-1] read as 0
+    for k, c in _peel(list(map(operator.sub, entries, (0, *entries))), basis):
+        coefficients[k] = c
+    return tuple(coefficients)
+
+
+def _peel(differences: list[int], basis: FlowUpBasis) -> tuple[tuple[int, int], ...]:
+    """The (k, c) terms, ascending in k and with c != 0, of the combination
+    of basis elements whose first differences are ``differences``, which
+    is consumed.
+
+    Before step k the remainder vanishes at positions 1..k, so its
+    difference at position k + 1 is its entry there, and subtracting
+    c * basis[k] touches only that element's jumps.
+    """
+    terms = []
+    # compress reads lazily: only still-nonzero differences are visited
+    for k in compress(range(len(basis)), differences):
+        positions, values = basis._jumps(k)
+        lead = values[0]
+        value = differences[k]
         if value % lead != 0:
             raise NotInSpanError(
                 f"entry {_int_text(value)} at position {k + 1} is not a multiple of the "
                 f"leading entry {_int_text(lead)} of basis element {k}"
             )
-        c = coefficients[k] = value // lead
-        # element k vanishes before position k + 1
-        work[k:] = [w - c * e for w, e in zip(work[k:], element[k:])]
-    return tuple(coefficients)
+        c = value // lead
+        terms.append((k, c))
+        for p, v in zip(positions, values):
+            differences[p] -= c * v
+    return tuple(terms)
+
+
+def _combine(terms: Iterable[tuple[int, int]], basis: FlowUpBasis) -> list[int]:
+    """First differences of the sum of c * basis[k] over the (k, c) terms."""
+    total = [0] * len(basis)
+    for k, c in terms:
+        positions, values = basis._jumps(k)
+        for p, v in zip(positions, values):
+            total[p] += c * v
+    return total
+
+
+def _product_differences(basis: FlowUpBasis, i: int, j: int) -> list[int]:
+    """First differences of basis[i] * basis[j].  Where neither element
+    jumps, both factors repeat their previous entry, and so does the
+    product."""
+    e, f = basis[i].entries, basis[j].entries
+    differences = [0] * len(basis)
+    previous = 0
+    for p in sorted({*basis._jumps(i)[0], *basis._jumps(j)[0]}):
+        product = e[p] * f[p]
+        differences[p] = product - previous
+        previous = product
+    return differences
 
 
 def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
@@ -55,12 +104,9 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     n = len(basis)
     if len(coefficients) != n:
         raise DimensionError(f"expected {n} coefficients, got {len(coefficients)}")
-    total = [0] * n
-    for k in compress(range(n), coefficients):
-        c = coefficients[k]
-        total[k:] = [t + c * e for t, e in zip(total[k:], basis.elements[k].entries[k:])]
+    terms = zip(compress(range(n), coefficients), filter(None, coefficients))
     # validated, so that a non-integer coefficient is rejected
-    return Spline(tuple(total))
+    return Spline(tuple(accumulate(_combine(terms, basis))))
 
 
 @dataclass(frozen=True)
@@ -106,7 +152,8 @@ def _terms(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition:
-    """Generic product path: componentwise multiply, then decompose.
+    """Generic product path: componentwise multiply, then decompose, both
+    on first differences, so the cost is O(jumps) past one O(n) pass.
 
     Works in any flow-up basis on any cycle; the closed forms below are
     cross-checked against it.
@@ -116,9 +163,7 @@ def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition
         raise IndexError(f"indices must be in [0, {n - 1}], got ({i}, {j})")
     if i > j:
         i, j = j, i
-    coefficients = decompose(basis[i] * basis[j], basis)
-    terms = zip(compress(range(n), coefficients), filter(None, coefficients))
-    return ProductDecomposition(i, j, tuple(terms))
+    return ProductDecomposition(i, j, _peel(_product_differences(basis, i, j), basis))
 
 
 def _king_cell(cycle, i: int, j: int, a: int, b: int, inv: int) -> ProductDecomposition:
@@ -166,14 +211,14 @@ def king_product(cycle, i: int, j: int) -> ProductDecomposition:
 
 
 def _verify_cell(basis: FlowUpBasis, cell: ProductDecomposition) -> None:
-    product = basis[cell.i] * basis[cell.j]
-    coefficients = cell.coefficients(len(basis))
-    if reconstruct(coefficients, basis) != product:
+    # differencing is invertible, so equal first differences mean equal vectors
+    differences = _product_differences(basis, cell.i, cell.j)
+    if _combine(cell.terms, basis) != differences:
         raise InvariantViolationError(
             f"table cell ({cell.i}, {cell.j}) does not reconstruct the "
             f"componentwise product"
         )
-    if decompose(product, basis) != coefficients:
+    if _peel(differences, basis) != cell.terms:
         raise InvariantViolationError(
             f"table cell ({cell.i}, {cell.j}) disagrees with decompose"
         )

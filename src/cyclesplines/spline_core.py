@@ -125,7 +125,7 @@ class EdgeLabeledGraph:
             raise ValueError(f"vertex count must be positive, got {count}")
         cleaned = []
         for pos, edge in enumerate(self.edges, start=1):
-            u, v, lab = (operator.index(x) for x in edge)
+            u, v, lab = map(operator.index, edge)
             if not (1 <= u <= count and 1 <= v <= count):
                 raise ValueError(f"edge {pos} endpoints ({u}, {v}) outside [1, {count}]")
             if u == v:

@@ -1,12 +1,15 @@
 """Shared helpers: seeded RNG, random cycle factories, the extended Euclid
-reference and the oracle's former enumerators."""
+reference, the dense peeling reference and the oracle's former
+enumerators."""
 
 import math
 import random
+from itertools import compress
 
 import pytest
 
-from cyclesplines import BudgetExceededError, EdgeLabeledCycle
+from cyclesplines import BudgetExceededError, EdgeLabeledCycle, NotInSpanError
+from cyclesplines.errors import _int_text
 
 SEED = 987654321
 
@@ -44,6 +47,46 @@ def egcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+# ------------------------------------------------------ dense peeling
+# decompose, reconstruct and product_in_basis as they were before
+# ring_algebra worked on first differences: each nonzero coefficient
+# rewrites the whole tail of the remainder or of the sum.
+
+
+def reference_decompose(entries, basis):
+    n = len(basis)
+    work = list(entries)
+    coefficients = [0] * n
+    for k in compress(range(n), work):
+        element = basis.elements[k].entries
+        lead = element[k]
+        value = work[k]
+        if value % lead != 0:
+            raise NotInSpanError(
+                f"entry {_int_text(value)} at position {k + 1} is not a multiple of the "
+                f"leading entry {_int_text(lead)} of basis element {k}"
+            )
+        c = coefficients[k] = value // lead
+        work[k:] = [w - c * e for w, e in zip(work[k:], element[k:])]
+    return tuple(coefficients)
+
+
+def reference_reconstruct(coefficients, basis):
+    n = len(basis)
+    total = [0] * n
+    for k in compress(range(n), coefficients):
+        c = coefficients[k]
+        total[k:] = [t + c * e for t, e in zip(total[k:], basis.elements[k].entries[k:])]
+    return tuple(total)
+
+
+def reference_product_terms(basis, i, j):
+    """The terms of product_in_basis(basis, i, j)."""
+    product = [a * b for a, b in zip(basis[i].entries, basis[j].entries)]
+    coefficients = reference_decompose(product, basis)
+    return tuple((k, c) for k, c in enumerate(coefficients) if c)
 
 
 # ------------------------------------------------ enumeration references

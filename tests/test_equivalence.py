@@ -9,7 +9,7 @@ import dataclasses
 import functools
 import math
 import sys
-from itertools import islice
+from itertools import accumulate, islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +17,13 @@ from hypothesis import strategies as st
 
 from conftest import (
     egcd,
+    random_king_cycle,
     reference_check_basis,
     reference_cycle_flow_up,
+    reference_decompose,
     reference_graph_splines,
+    reference_product_terms,
+    reference_reconstruct,
 )
 from cyclesplines import (
     BasisCheck,
@@ -49,6 +53,7 @@ from cyclesplines import (
     mod_inverse,
     product_in_basis,
     reconstruct,
+    smallest_basis,
     smallest_class_bound,
     smallest_leading_entry,
     solve_congruence_pair,
@@ -408,6 +413,97 @@ def test_reconstruct_skips_float_zero_coefficients():
     # 0.5 and 2.0 are still rejected: test_reconstruct_still_rejects_non_integer_coefficients
     basis = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))
     assert reconstruct([1, 0.0, 1], basis) == reconstruct([1, 0, 1], basis)
+
+
+# ------------------------------------ first differences vs the dense peel
+
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def prime_quotients(n):
+    """label(i) = P / p_i with P the product of the first n primes: every
+    chain multiplier exceeds 1, so every triangulation entry is a jump."""
+    product = math.prod(FIRST_PRIMES[:n])
+    return [product // p for p in FIRST_PRIMES[:n]]
+
+
+jump_labels = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=12),
+    st.lists(st.integers(min_value=10**29, max_value=10**30 - 1), min_size=3, max_size=12),
+    st.integers(min_value=3, max_value=12).map(prime_quotients),
+)
+BUILDERS = {"triangulation": triangulation_basis, "king": king_basis, "smallest": smallest_basis}
+
+
+@st.composite
+def bases_of_every_kind(draw):
+    """A triangulation, king, smallest or custom basis on drawn labels; the
+    custom one is a triangulation or smallest basis with an element negated."""
+    labels = draw(jump_labels)
+    kind = draw(st.sampled_from(["triangulation", "king", "smallest", "custom"]))
+    if kind == "king" and math.gcd(labels[-2], labels[-1]) != 1:
+        labels = labels[:-1] + [1]
+    cycle = EdgeLabeledCycle(tuple(labels))
+    if kind != "custom":
+        return BUILDERS[kind](cycle)
+    elements = list(BUILDERS[draw(st.sampled_from(["triangulation", "smallest"]))](cycle))
+    k = draw(st.integers(0, cycle.n - 1))
+    elements[k] = -elements[k]
+    return FlowUpBasis(cycle, tuple(elements))
+
+
+@given(bases_of_every_kind())
+def test_jump_prefix_sums_reproduce_every_element(basis):
+    n = len(basis)
+    for k, element in enumerate(basis):
+        positions, values = basis._jumps(k)
+        assert positions[0] == k and list(positions) == sorted(set(positions))
+        assert all(values)
+        differences = [0] * n
+        for p, v in zip(positions, values):
+            differences[p] = v
+        assert tuple(accumulate(differences)) == element.entries
+
+
+@given(bases_of_every_kind(), st.data())
+def test_first_differences_match_the_dense_peel(basis, data):
+    n = len(basis)
+    coefficient = st.integers(-50, 50) | st.integers(-(10**30), 10**30)
+    if data.draw(st.booleans()):
+        coefficients = [0] * n
+        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            coefficients[k] = data.draw(coefficient)
+    else:
+        coefficients = data.draw(st.lists(coefficient, min_size=n, max_size=n))
+    entries = reference_reconstruct(coefficients, basis)
+    assert reconstruct(coefficients, basis).entries == entries
+    assert decompose(entries, basis) == reference_decompose(entries, basis) == tuple(coefficients)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    cell = product_in_basis(basis, i, j)
+    assert (cell.i, cell.j) == (min(i, j), max(i, j))
+    assert cell.terms == reference_product_terms(basis, i, j)
+
+
+@given(bases_of_every_kind(), st.data())
+def test_not_in_span_text_matches_the_dense_peel(basis, data):
+    n = len(basis)
+    coefficients = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    broken = list(reference_reconstruct(coefficients, basis))
+    for vertex in data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)):
+        broken[vertex] += data.draw(st.integers(-40, 40))
+    assert decompose_outcome(decompose, broken, basis) == decompose_outcome(
+        reference_decompose, broken, basis
+    )
+
+
+def test_a_product_fills_only_the_jumps_it_touches(rng):
+    cycle = random_king_cycle(rng, n_range=(200, 200))
+    for build in (triangulation_basis, king_basis):
+        for i, j in ((57, 131), (100, 100), (199, 5)):
+            basis = build(cycle)
+            cell = product_in_basis(basis, i, j)
+            filled = {k for k, jumps in enumerate(basis._jump_table) if jumps is not None}
+            assert filled == {i, j, *(k for k, _ in cell.terms)}
 
 
 # --------------------------------------- one enumerator vs the former two

@@ -210,6 +210,28 @@ def test_product_in_basis_smallest_kind():
             assert cell.reconstruct(basis) == pointwise_mul(basis[i], basis[j])
 
 
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        (((3, 3), (4, 49)), "does not reconstruct the componentwise product"),
+        # the right sum, but not in canonical form (a zero coefficient kept)
+        (((2, 0), (3, 3), (4, 48)), "disagrees with decompose"),
+    ],
+)
+def test_table_rejects_a_wrong_cell(monkeypatch, terms, message):
+    cycle = EdgeLabeledCycle((3, 4, 8, 2, 5))
+    assert king_product(cycle, 1, 3).terms == ((3, 3), (4, 48))
+    king_cell = ring_algebra._king_cell
+
+    def wrong_cell(cycle, i, j, *tail):
+        cell = king_cell(cycle, i, j, *tail)
+        return ProductDecomposition(1, 3, terms) if (cell.i, cell.j) == (1, 3) else cell
+
+    monkeypatch.setattr(ring_algebra, "_king_cell", wrong_cell)
+    with pytest.raises(InvariantViolationError, match=rf"table cell \(1, 3\) {message}"):
+        king_multiplication_table(cycle)
+
+
 # ------------------------------------------------- messages at any size
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import operator
 import sys
 
 import pytest
@@ -95,6 +96,26 @@ def test_graph_validation():
         EdgeLabeledGraph(2, ((1, 1, 1),))
     with pytest.raises(ValueError):
         EdgeLabeledGraph(2, ((1, 2, 0),))
+
+
+def unpack_edge_reference(edge):
+    """The per-edge unpacking the graph constructor used before it mapped
+    operator.index over the edge."""
+    u, v, lab = (operator.index(x) for x in edge)
+    return u, v, lab
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [(1, 2), (1, 2, 3, 4), (1, 2, 3, 4.5), (1, 2.0, 3), ("1", 2, 3), (1, 2, None)]
+    + [5, None, [], "123"],
+)
+def test_malformed_edges_keep_their_errors(edge):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        unpack_edge_reference(edge)
+    with pytest.raises(expected.type) as got:
+        EdgeLabeledGraph(3, ((1, 2, 3), edge))
+    assert str(got.value) == str(expected.value)
 
 
 def test_graph_label_product():
