@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
-from .bases import (
-    FlowUpBasis,
-    king_basis,
-    smallest_basis,
-    triangulation_basis,
-)
+from .bases import king_basis, smallest_basis, triangulation_basis
 from .errors import BudgetExceededError, CycleSplinesError, DimensionError
 from .oracle import (
     EnumerationBudget,
@@ -68,6 +64,13 @@ EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
+# --kind -> basis builder; each looks its builder up when called
+_BUILDERS = {
+    "triangulation": lambda cycle: triangulation_basis(cycle),
+    "king": lambda cycle: king_basis(cycle),
+    "smallest": lambda cycle: smallest_basis(cycle),
+}
+
 
 class _InputError(Exception):
     """Malformed command input; reported on stderr with exit code 2."""
@@ -77,22 +80,23 @@ def _parse_int_list(text: str, what: str) -> list[int]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(p == "" for p in parts):
         raise _InputError(f"{what} must be a comma-separated list of integers, got {text!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError as exc:
-        raise _InputError(f"{what} must be integers: {exc}") from None
+    for p in parts:
+        # int() alone would also take 1_0 and non-ASCII digits
+        if not re.fullmatch(r"[+-]?[0-9]+", p):
+            raise _InputError(f"{what} must be base-10 integers, got {p!r}")
+    return [int(p) for p in parts]
 
 
 def _load_target(args: argparse.Namespace) -> GraphLike:
     """Build the cycle or graph named by --cycle or --input."""
-    if getattr(args, "cycle", None) is not None and getattr(args, "input", None) is not None:
+    if args.cycle is not None and args.input is not None:
         raise _InputError("give either --cycle or --input, not both")
-    if getattr(args, "cycle", None) is not None:
+    if args.cycle is not None:
         try:
             return EdgeLabeledCycle(tuple(_parse_int_list(args.cycle, "--cycle")))
         except (ValueError, TypeError) as exc:
             raise _InputError(str(exc)) from None
-    if getattr(args, "input", None) is not None:
+    if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 document = json.load(fh)
@@ -116,14 +120,22 @@ def _target_from_document(document) -> GraphLike:
             labels = document["cycle"]
             if not isinstance(labels, list):
                 raise _InputError('"cycle" must be a list of edge labels')
+            _refuse_booleans(labels)
             return EdgeLabeledCycle(tuple(labels))
         body = document["graph"]
         if not isinstance(body, dict) or "vertices" not in body or "edges" not in body:
             raise _InputError('"graph" must be an object with "vertices" and "edges"')
         edges = tuple(tuple(edge) for edge in body["edges"])
+        _refuse_booleans((body["vertices"], *(x for edge in edges for x in edge)))
         return EdgeLabeledGraph(body["vertices"], edges)
     except (ValueError, TypeError) as exc:
         raise _InputError(str(exc)) from None
+
+
+def _refuse_booleans(values) -> None:
+    # JSON true and false decode to bool, which Python counts as an int
+    if any(isinstance(x, bool) for x in values):
+        raise _InputError("numbers in the input document must be integers, not true or false")
 
 
 def _require_cycle(target: GraphLike, command: str) -> EdgeLabeledCycle:
@@ -156,14 +168,6 @@ def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[Enumera
     if states is None:
         return EnumerationBudget(bound)
     return EnumerationBudget(bound, states)
-
-
-def _build_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
-    if kind == "triangulation":
-        return triangulation_basis(cycle)
-    if kind == "king":
-        return king_basis(cycle)
-    return smallest_basis(cycle)
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
@@ -215,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    basis = _build_basis(_require_cycle(_load_target(args), "basis"), args.kind)
+    basis = _BUILDERS[args.kind](_require_cycle(_load_target(args), "basis"))
     lines = [
         f"{basis.symbol}{k}: {_spline_text(element.entries)}"
         for k, element in enumerate(basis.elements)
@@ -234,7 +238,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             print(v.describe(), file=sys.stderr)
         print("not a spline; nothing to decompose", file=sys.stderr)
         return EXIT_DOMAIN
-    basis = _build_basis(cycle, args.kind)
+    basis = _BUILDERS[args.kind](cycle)
     coefficients = decompose(Spline(tuple(values)), basis)
     _emit(args, {"coefficients": list(coefficients)}, [_spline_text(coefficients)])
     return EXIT_OK
@@ -248,7 +252,7 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
         cell = king_product(cycle, args.i, args.j)
         symbol = "K"
     else:
-        basis = _build_basis(cycle, args.kind)
+        basis = _BUILDERS[args.kind](cycle)
         cell = product_in_basis(basis, args.i, args.j)
         symbol = basis.symbol
     payload = {"product": {"i": cell.i, "j": cell.j, "terms": [list(t) for t in cell.terms]}}
@@ -309,7 +313,7 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
     budget = _budget_for(args, target)  # malformed flags exit 2 before any work
     if args.kind is not None:
         cycle = _require_cycle(target, "oracle check-basis --kind")
-        candidates = list(_build_basis(cycle, args.kind).elements)
+        candidates = list(_BUILDERS[args.kind](cycle).elements)
     else:
         candidates = [
             Spline(tuple(_parse_int_list(part, "--candidates")))
@@ -385,18 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("basis", help="construct a flow-up basis")
     _add_common(p)
-    p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
+    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
     p.set_defaults(func=_cmd_basis)
 
     p = sub.add_parser("decompose", help="write a spline in a flow-up basis")
     _add_common(p)
     p.add_argument("--labels", required=True, help="comma-separated vertex labels")
-    p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
+    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("multiply", help="product of two basis elements, in the basis")
     _add_common(p)
-    p.add_argument("--kind", choices=("triangulation", "king", "smallest"), required=True)
+    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
     p.add_argument("--i", type=int, required=True, help="first basis index")
     p.add_argument("--j", type=int, required=True, help="second basis index")
     p.set_defaults(func=_cmd_multiply)
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = oracle_sub.add_parser("check-basis", help="basis condition by enumeration")
     _add_common(q, budget=True)
-    q.add_argument("--kind", choices=("triangulation", "king", "smallest"))
+    q.add_argument("--kind", choices=tuple(_BUILDERS))
     q.add_argument(
         "--candidates",
         help='semicolon-separated labelings, e.g. "1,1,1;0,2,12;0,0,15"',

@@ -62,7 +62,7 @@ def default_budget(graph: GraphLike, max_states: int = DEFAULT_MAX_STATES) -> En
     Adding that product to any single entry preserves every congruence, so
     each residue pattern of a spline has a representative inside the box.
     """
-    return EnumerationBudget(max(graph.label_product(), 1), max_states)
+    return EnumerationBudget(graph.label_product(), max_states)
 
 
 def smallest_class_bound(cycle: EdgeLabeledCycle) -> int:

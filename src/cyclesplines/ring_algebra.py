@@ -10,7 +10,8 @@ jump rather than one per position.  On top of that this module provides
 the closed-form products of king basis elements, the closed-form
 three-cycle table in the triangulation basis, and a generic product path
 (componentwise multiply, then decompose) that works in any flow-up basis
-on any cycle.
+on any cycle.  Both tables check each cell once, against the peel of the
+componentwise product.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from typing import Callable, Sequence
 
 from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
 from .errors import DimensionError, InvariantViolationError, NotInSpanError, _dataclass_repr, _int_text
@@ -59,7 +60,7 @@ def _peel(differences: list[int], basis: FlowUpBasis) -> tuple[tuple[int, int], 
     """
     terms = []
     # compress reads lazily: only still-nonzero differences are visited
-    for k in compress(range(len(basis)), differences):
+    for k in compress(range(len(differences)), differences):
         positions, values = basis._jumps(k)
         lead = values[0]
         value = differences[k]
@@ -75,22 +76,12 @@ def _peel(differences: list[int], basis: FlowUpBasis) -> tuple[tuple[int, int], 
     return tuple(terms)
 
 
-def _combine(terms: Iterable[tuple[int, int]], basis: FlowUpBasis) -> list[int]:
-    """First differences of the sum of c * basis[k] over the (k, c) terms."""
-    total = [0] * len(basis)
-    for k, c in terms:
-        positions, values = basis._jumps(k)
-        for p, v in zip(positions, values):
-            total[p] += c * v
-    return total
-
-
 def _product_differences(basis: FlowUpBasis, i: int, j: int) -> list[int]:
     """First differences of basis[i] * basis[j].  Where neither element
     jumps, both factors repeat their previous entry, and so does the
     product."""
     e, f = basis[i].entries, basis[j].entries
-    differences = [0] * len(basis)
+    differences = [0] * len(e)
     previous = 0
     for p in sorted({*basis._jumps(i)[0], *basis._jumps(j)[0]}):
         product = e[p] * f[p]
@@ -104,9 +95,14 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     n = len(basis)
     if len(coefficients) != n:
         raise DimensionError(f"expected {n} coefficients, got {len(coefficients)}")
-    terms = zip(compress(range(n), coefficients), filter(None, coefficients))
+    # first differences of the sum of c * basis[k] over the nonzero c
+    total = [0] * n
+    for k, c in zip(compress(range(n), coefficients), filter(None, coefficients)):
+        positions, values = basis._jumps(k)
+        for p, v in zip(positions, values):
+            total[p] += c * v
     # validated, so that a non-integer coefficient is rejected
-    return Spline(tuple(accumulate(_combine(terms, basis))))
+    return Spline(tuple(accumulate(total)))
 
 
 @dataclass(frozen=True)
@@ -210,33 +206,36 @@ def king_product(cycle, i: int, j: int) -> ProductDecomposition:
     return _king_cell(cycle, i, j, *_king_tail(cycle))
 
 
-def _verify_cell(basis: FlowUpBasis, cell: ProductDecomposition) -> None:
-    # differencing is invertible, so equal first differences mean equal vectors
-    differences = _product_differences(basis, cell.i, cell.j)
-    if _combine(cell.terms, basis) != differences:
-        raise InvariantViolationError(
-            f"table cell ({cell.i}, {cell.j}) does not reconstruct the "
-            f"componentwise product"
-        )
-    if _peel(differences, basis) != cell.terms:
-        raise InvariantViolationError(
-            f"table cell ({cell.i}, {cell.j}) disagrees with decompose"
-        )
+def _checked_table(
+    basis: FlowUpBasis, cell: Callable[[int, int], ProductDecomposition]
+) -> list[list[ProductDecomposition]]:
+    """Symmetric table of cell(i, j) over i <= j, each cell checked once.
 
-
-def king_multiplication_table(cycle) -> list[list[ProductDecomposition]]:
-    """Symmetric n x n table of king products; every cell is double-checked
-    against the componentwise product via :func:`decompose` before return."""
-    basis = king_basis(cycle)
-    tail = _king_tail(cycle)
+    The peel zeroes every position it visits and element k's jumps start at
+    position k, so its terms sum to the componentwise product and are the
+    only ascending, nonzero terms that do: a cell equal to them is both
+    right and canonical.
+    """
     n = len(basis)
     table: list[list[ProductDecomposition]] = [[None] * n for _ in range(n)]  # type: ignore[list-item]
     for i in range(n):
         for j in range(i, n):
-            cell = _king_cell(cycle, i, j, *tail)
-            _verify_cell(basis, cell)
-            table[i][j] = table[j][i] = cell
+            found = cell(i, j)
+            peeled = _peel(_product_differences(basis, i, j), basis)
+            if (found.i, found.j, found.terms) != (i, j, peeled):
+                raise InvariantViolationError(
+                    f"table cell ({i}, {j}) disagrees with the componentwise product"
+                )
+            table[i][j] = table[j][i] = found
     return table
+
+
+def king_multiplication_table(cycle) -> list[list[ProductDecomposition]]:
+    """Symmetric n x n table of king products; each cell is checked once,
+    against the peel of the componentwise product, before return."""
+    basis = king_basis(cycle)
+    a, b, inv = _king_tail(cycle)
+    return _checked_table(basis, lambda i, j: _king_cell(cycle, i, j, a, b, inv))
 
 
 def triangulation_table_3cycle(cycle) -> list[list[ProductDecomposition]]:
@@ -273,9 +272,4 @@ def triangulation_table_3cycle(cycle) -> list[list[ProductDecomposition]]:
         (1, 2): ((2, h3),),
         (2, 2): ((2, t3),),
     }
-    table: list[list[ProductDecomposition]] = [[None] * 3 for _ in range(3)]  # type: ignore[list-item]
-    for (i, j), pairs in cells.items():
-        cell = ProductDecomposition(i, j, _terms(pairs))
-        _verify_cell(basis, cell)
-        table[i][j] = table[j][i] = cell
-    return table
+    return _checked_table(basis, lambda i, j: ProductDecomposition(i, j, _terms(cells[i, j])))

@@ -136,7 +136,7 @@ class EdgeLabeledGraph:
         object.__setattr__(self, "edges", tuple(cleaned))
 
     def label_product(self) -> int:
-        return math.prod(lab for _, _, lab in self.edges) if self.edges else 1
+        return math.prod(lab for _, _, lab in self.edges)
 
 
 @dataclass(frozen=True)

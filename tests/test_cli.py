@@ -313,12 +313,35 @@ def test_graph_input_rejected_for_cycle_commands(tmp_path, capsys):
         ("verify", "--cycle", "2,5,3", "--labels", "1,1"),
         ("verify", "--cycle", "2,5,3", "--input", "x.json", "--labels", "1,1,1"),
         ("basis", "--cycle", "2,5,3", "--kind", "triangulation", "--bound", "0"),
+        # only an optional sign and ASCII digits are plain base 10
+        ("basis", "--cycle", "1_0,5,3", "--kind", "triangulation"),
+        ("basis", "--cycle", "\u0662,5,3", "--kind", "triangulation"),
+        ("verify", "--cycle", "2,5,3", "--labels", "0,2,1_2"),
+        ("verify", "--cycle", "2,5,3", "--labels", "0,\u0662,12"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "document, labels",
+    [
+        # each would read true as 1 and pass as a spline
+        ({"cycle": [True, 5, 3]}, "0,0,0"),
+        ({"graph": {"vertices": True, "edges": []}}, "7"),
+        ({"graph": {"vertices": 2, "edges": [[True, 2, 2]]}}, "0,2"),
+        ({"graph": {"vertices": 2, "edges": [[1, 2, True]]}}, "0,7"),
+    ],
+)
+def test_input_file_booleans_exit_2(tmp_path, capsys, document, labels):
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run(capsys, "verify", "--input", str(path), "--labels", labels)
+    assert (code, out) == (2, "")
+    assert "not true or false" in err
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
@@ -445,15 +468,15 @@ def test_closed_stdout_exits_quietly():
     # about 500 kB of output: the child blocks on the full pipe, or has not
     # written yet, when the reader goes away, as with `| head -1`
     cycle = ",".join(str(i % 29 + 1) for i in range(400))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "cyclesplines.cli", "basis", "--cycle", cycle,
          "--kind", "triangulation"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-    )
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 0
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
     assert err == ""
 
 

@@ -211,14 +211,16 @@ def test_product_in_basis_smallest_kind():
 
 
 @pytest.mark.parametrize(
-    "terms, message",
+    "terms",
     [
-        (((3, 3), (4, 49)), "does not reconstruct the componentwise product"),
+        ((3, 3), (4, 49)),
         # the right sum, but not in canonical form (a zero coefficient kept)
-        (((2, 0), (3, 3), (4, 48)), "disagrees with decompose"),
+        ((2, 0), (3, 3), (4, 48)),
+        # an index past the basis
+        ((9, 1),),
     ],
 )
-def test_table_rejects_a_wrong_cell(monkeypatch, terms, message):
+def test_table_rejects_a_wrong_cell(monkeypatch, terms):
     cycle = EdgeLabeledCycle((3, 4, 8, 2, 5))
     assert king_product(cycle, 1, 3).terms == ((3, 3), (4, 48))
     king_cell = ring_algebra._king_cell
@@ -228,7 +230,24 @@ def test_table_rejects_a_wrong_cell(monkeypatch, terms, message):
         return ProductDecomposition(1, 3, terms) if (cell.i, cell.j) == (1, 3) else cell
 
     monkeypatch.setattr(ring_algebra, "_king_cell", wrong_cell)
-    with pytest.raises(InvariantViolationError, match=rf"table cell \(1, 3\) {message}"):
+    with pytest.raises(
+        InvariantViolationError,
+        match=r"table cell \(1, 3\) disagrees with the componentwise product",
+    ):
+        king_multiplication_table(cycle)
+
+
+def test_table_rejects_a_cell_filed_under_other_indices(monkeypatch):
+    # the right terms for the product, but labelled (3, 1) at cell (1, 3)
+    cycle = EdgeLabeledCycle((3, 4, 8, 2, 5))
+    king_cell = ring_algebra._king_cell
+
+    def swapped_cell(cycle, i, j, *tail):
+        cell = king_cell(cycle, i, j, *tail)
+        return ProductDecomposition(j, i, cell.terms) if (i, j) == (1, 3) else cell
+
+    monkeypatch.setattr(ring_algebra, "_king_cell", swapped_cell)
+    with pytest.raises(InvariantViolationError, match=r"table cell \(1, 3\) disagrees"):
         king_multiplication_table(cycle)
 
 
