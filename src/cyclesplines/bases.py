@@ -13,12 +13,20 @@ provides three constructions that hit those minima and the checker.
 Triangulation and smallest are one chain of paired congruences with two
 representatives per step (pinned, or least positive); king has constant
 middle runs.  All three are closed forms and work at any n.
+
+The builders lay each element out run by run and hand its jump positions
+(see :meth:`FlowUpBasis._jumps`) to the basis, so an element costs O(n)
+C-level work plus O(change steps) Python work: one per chain step that can
+change an entry, and none for king.  Certifying a basis with
+:func:`check_flow_up_basis` reads every entry, about n²/2 edge tests, and
+now dominates a build-and-certify round.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Optional, Sequence
@@ -62,28 +70,39 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     never raises.  k = 0 returns the all-ones spline.
 
     The moduli of step i do not depend on k, so the chain costs O(n) number
-    theory once per cycle, which keeps the steps (see :func:`congruence_step`),
-    and then one multiply, or a reset to the second modulus, per entry.
+    theory once per cycle, which keeps the steps (see :func:`congruence_step`)
+    and the few at which an entry can change.  An element then costs one
+    Python step per such change and O(n) C-level work to lay out its runs.
     """
     n = cycle.n
     if not 0 <= k <= n - 1:
         raise IndexError(f"k must be in [0, {n - 1}], got {k}")
-    return _chain_element(cycle._chain_steps, n, k, least=False)
+    return _chain_element(cycle, k, least=False)[0]
 
 
-def _chain_element(steps: Sequence[tuple[int, int]], n: int, k: int, least: bool) -> Spline:
-    """Element k of the chain: the pinned representative of each step, or
-    with ``least`` the least positive one.  Its leading entry is m_k, the
-    lcm of the step into position k + 1."""
+def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> tuple[Spline, tuple[int, ...]]:
+    """Element k of the chain and the positions of its jumps: the pinned
+    representative of each step, or with ``least`` the least positive one.
+    Its leading entry is m_k, the lcm of the step into position k + 1.
+
+    Only the steps in ``cycle._chain_changes`` are walked; every other step
+    keeps the entry, so the element is one run per recorded position."""
+    n = cycle.n
     if k == 0:
-        return trivial_spline(n)
-    h = steps[k - 1][1]
-    entries = [0] * k + [h]
-    for mult, period in steps[k:]:
+        return trivial_spline(n), (0,)
+    changes = cycle._chain_changes[least]
+    h = cycle._chain_steps[k - 1][1]
+    entries, positions = [0] * k, [k]
+    # (k + 1,) sorts before every step (k + 1, mult, period) into position k + 1
+    for p, mult, period in changes[bisect_left(changes, (k + 1,)) :]:
         # h > 0, so h * mult is 0 exactly when mult is, and then period == b
-        h = (h * mult % period if least else h * mult) or period
-        entries.append(h)
-    return _trusted_spline(tuple(entries))
+        new = (h * mult % period if least else h * mult) or period
+        if new != h:
+            entries += [h] * (p - len(entries))
+            positions.append(p)
+            h = new
+    entries += [h] * (n - len(entries))
+    return _trusted_spline(tuple(entries)), tuple(positions)
 
 
 @dataclass(frozen=True)
@@ -92,7 +111,10 @@ class FlowUpBasis:
     exactly k leading zeros.
 
     Besides the elements, a basis keeps each element's jumps (see
-    :meth:`_jumps`), computed the first time they are asked for.
+    :meth:`_jumps`).  The library's builders hand over where each element
+    jumps when they build it, and the jump values are computed the first
+    time they are asked for; a basis built from bare elements also finds
+    the positions then, with one O(n) scan of the element.
     """
 
     cycle: EdgeLabeledCycle
@@ -106,6 +128,7 @@ class FlowUpBasis:
         elements = _check_flow_up_family(self.elements, self.cycle.n, "element")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_jump_table", [None] * len(elements))
+        object.__setattr__(self, "_jump_positions", [None] * len(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -132,9 +155,11 @@ class FlowUpBasis:
         jumps = self._jump_table[k]
         if jumps is None:
             e = self.elements[k].entries
-            # e is zero before position k, so its first jump is the leading entry
-            later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
-            positions = (k, *later)
+            positions = self._jump_positions[k]
+            if positions is None:
+                # e is zero before position k, so its first jump is the leading entry
+                later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
+                positions = (k, *later)
             values = (e[k], *[e[p] - e[p - 1] for p in positions[1:]])
             jumps = self._jump_table[k] = positions, values
         return jumps
@@ -148,8 +173,17 @@ def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
 
 def _chain_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
     least = kind == "smallest"
-    elements = (_chain_element(cycle._chain_steps, cycle.n, k, least) for k in range(cycle.n))
-    return FlowUpBasis(cycle, tuple(elements), kind)
+    return _built_basis(cycle, kind, [_chain_element(cycle, k, least) for k in range(cycle.n)])
+
+
+def _built_basis(
+    cycle: EdgeLabeledCycle, kind: str, built: Sequence[tuple[Spline, tuple[int, ...]]]
+) -> FlowUpBasis:
+    """The basis of the built (element, jump positions) pairs, keeping the positions."""
+    elements, positions = zip(*built)
+    basis = FlowUpBasis(cycle, elements, kind)
+    basis._jump_positions[:] = positions
+    return basis
 
 
 def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
@@ -166,11 +200,14 @@ def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """
     n = cycle.n
     a, b, inv = _king_tail(cycle)
-    elements = [trivial_spline(n)]
+    # element i jumps at i, and at n - 1 unless l_i * b * inv == l_i
+    last = () if b * inv == 1 else (n - 1,)
+    built = [(trivial_spline(n), (0,))]
     for i, li in enumerate(cycle.labels[: n - 2], start=1):
-        elements.append(_trusted_spline((0,) * i + (li,) * (n - 1 - i) + (li * b * inv,)))
-    elements.append(_trusted_spline((0,) * (n - 1) + (a * b,)))
-    return FlowUpBasis(cycle, tuple(elements), "king")
+        element = _trusted_spline((0,) * i + (li,) * (n - 1 - i) + (li * b * inv,))
+        built.append((element, (i, *last)))
+    built.append((_trusted_spline((0,) * (n - 1) + (a * b,)), (n - 1,)))
+    return _built_basis(cycle, "king", built)
 
 
 def _king_tail(cycle: EdgeLabeledCycle) -> tuple[int, int, int]:
@@ -273,7 +310,7 @@ def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
     n = cycle.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"k must be in [1, {n - 1}], got {k}")
-    return _chain_element(cycle._chain_steps, n, k, least=True)
+    return _chain_element(cycle, k, least=True)[0]
 
 
 def smallest_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:

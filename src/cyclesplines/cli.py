@@ -315,10 +315,17 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
         cycle = _require_cycle(target, "oracle check-basis --kind")
         candidates = list(_BUILDERS[args.kind](cycle).elements)
     else:
-        candidates = [
-            Spline(tuple(_parse_int_list(part, "--candidates")))
-            for part in args.candidates.split(";")
-        ]
+        n = vertex_count(target)
+        candidates = [_parse_int_list(part, "--candidates") for part in args.candidates.split(";")]
+        if len(candidates) != n:
+            raise _InputError(
+                f"--candidates needs {n} candidates for this input, got {len(candidates)}"
+            )
+        for i, candidate in enumerate(candidates):
+            if len(candidate) != n:
+                raise _InputError(
+                    f"--candidates: candidate {i} has {len(candidate)} entries, expected {n}"
+                )
     ok = check_basis_by_definition(target, candidates, budget)
     _emit(
         args,

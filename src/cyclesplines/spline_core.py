@@ -88,6 +88,24 @@ class EdgeLabeledCycle:
             steps.append((mult, a // g * b))
         return tuple(steps)
 
+    @cached_property
+    def _chain_changes(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        # the steps of _chain_steps at which an entry can change, as (p, mult,
+        # period) with p the 0-based position the step fills, for the pinned
+        # and then the least positive representative.  A step with mult == 1
+        # keeps the pinned h * mult == h.  An entry never exceeds the period
+        # of the step that made it, so that step also keeps the least
+        # h % period or period == h, unless its period is below the previous
+        # step's.
+        steps = [(s + 1, mult, period) for s, (mult, period) in enumerate(self._chain_steps)]
+        previous = (0, *(period for _, _, period in steps))
+        return (
+            tuple(step for step in steps if step[1] != 1),
+            tuple(
+                step for step, prior in zip(steps, previous) if step[1] != 1 or step[2] < prior
+            ),
+        )
+
     def suffix_gcd(self, i: int) -> int:
         """gcd of the labels of edges i, i + 1, ..., n; defined for 1 <= i <= n."""
         if not 1 <= i <= self.n:
@@ -260,13 +278,15 @@ class SplineCheck:
 def _cycle_edges_hold(entries: tuple[int, ...], labels: tuple[int, ...], start: int) -> bool:
     """Whether the congruences of cycle edges start, start + 1, ..., n all hold.
 
-    Edge i joins vertices i and i + 1 and edge n wraps to vertex 1, so the
-    congruences from edge start on are the entries from vertex start on minus
-    the same entries shifted by one, with vertex 1 appended for the wrap.
+    Edge i < n joins vertices i and i + 1, so edges start..n - 1 compare the
+    entries from vertex start on with the same entries shifted by one; edge
+    n wraps from vertex n to vertex 1 and is tested on its own.
     """
-    tail = entries[start - 1 :]
-    shifted = tail[1:] + entries[:1]
-    return not any(map(operator.mod, map(operator.sub, tail, shifted), labels[start - 1 :]))
+    n = len(entries)
+    if (entries[n - 1] - entries[0]) % labels[n - 1]:
+        return False
+    differences = map(operator.sub, entries[start - 1 : n - 1], entries[start:])
+    return not any(map(operator.mod, differences, labels[start - 1 : n - 1]))
 
 
 def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:

@@ -1,6 +1,6 @@
 """Shared helpers: seeded RNG, random cycle factories, the extended Euclid
-reference, the dense peeling reference and the oracle's former
-enumerators."""
+reference, the per-entry chain reference, the dense peeling reference and
+the oracle's former enumerators."""
 
 import math
 import random
@@ -47,6 +47,26 @@ def egcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+# ------------------------------------------------------- chain elements
+
+
+def reference_chain_element(cycle, k, least):
+    """Element k of the triangulation chain, or with ``least`` of the
+    smallest one, as the library built it before it walked only the steps
+    that change an entry: one multiply, or a reset to the period, per entry."""
+    n = cycle.n
+    if k == 0:
+        return (1,) * n
+    steps = cycle._chain_steps
+    h = steps[k - 1][1]
+    entries = [0] * k + [h]
+    for mult, period in steps[k:]:
+        # h > 0, so h * mult is 0 exactly when mult is, and then period == b
+        h = (h * mult % period if least else h * mult) or period
+        entries.append(h)
+    return tuple(entries)
 
 
 # ------------------------------------------------------ dense peeling

@@ -252,6 +252,21 @@ def test_oracle_check_basis_needs_exactly_one_source(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "candidates, message",
+    [
+        ("1,1,1;0,2,12;0,0", "candidate 2 has 2 entries, expected 3"),
+        ("1,1,1;0,2,12;0,0,15;0,0,0", "needs 3 candidates for this input, got 4"),
+    ],
+)
+def test_oracle_check_basis_malformed_candidates_exit_2(capsys, candidates, message):
+    code, _, err = run(
+        capsys, "oracle", "check-basis", "--cycle", "2,5,3", "--candidates", candidates
+    )
+    assert code == 2
+    assert message in err
+
+
 def test_oracle_extension(capsys):
     code, _, _ = run(
         capsys, "oracle", "extension", "--cycle", "2,6,15,10",

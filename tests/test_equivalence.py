@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     egcd,
     random_king_cycle,
+    reference_chain_element,
     reference_check_basis,
     reference_cycle_flow_up,
     reference_decompose,
@@ -55,6 +56,7 @@ from cyclesplines import (
     reconstruct,
     smallest_basis,
     smallest_class_bound,
+    smallest_flow_up_class,
     smallest_leading_entry,
     solve_congruence_pair,
     triangulated_graph,
@@ -494,6 +496,46 @@ def test_not_in_span_text_matches_the_dense_peel(basis, data):
     assert decompose_outcome(decompose, broken, basis) == decompose_outcome(
         reference_decompose, broken, basis
     )
+
+
+def reference_king_element(cycle, i):
+    """Element i of the king basis, one entry at a time from its closed form."""
+    n = cycle.n
+    a, b = cycle.labels[-2:]
+    inv = egcd(b, a)[1] % a
+    if i == 0:
+        return (1,) * n
+    li = cycle.label(i)
+    last = a * b if i == n - 1 else li * b * inv
+    return tuple(0 if p < i else last if p == n - 1 else li for p in range(n))
+
+
+def scanned_jump_positions(entries):
+    """Positions p with entries[p] != entries[p - 1], entries[-1] read as 0."""
+    return tuple(p for p, (e, f) in enumerate(zip(entries, (0, *entries))) if e != f)
+
+
+@given(
+    st.one_of(small_labels, ones_and_divisors, huge_labels, st.integers(3, 12).map(prime_quotients))
+)
+def test_builders_hand_over_the_jumps_of_the_per_entry_elements(labels):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    # a last label of 1 keeps the king precondition and makes b * inv == 1
+    king_cycle = cycle if math.gcd(*labels[-2:]) == 1 else EdgeLabeledCycle((*labels[:-1], 1))
+    expected = {
+        "triangulation": lambda k: reference_chain_element(cycle, k, least=False),
+        "smallest": lambda k: reference_chain_element(cycle, k, least=True),
+        "king": lambda k: reference_king_element(king_cycle, k),
+    }
+    for kind, build in BUILDERS.items():
+        basis = build(king_cycle if kind == "king" else cycle)
+        for k, element in enumerate(basis):
+            assert element.entries == expected[kind](k)
+            assert basis._jump_positions[k] == scanned_jump_positions(element.entries)
+            assert all(basis._jumps(k)[1])
+    for k in range(1, cycle.n):
+        assert triangulation_spline(cycle, k).entries == expected["triangulation"](k)
+        assert smallest_flow_up_class(cycle, k).entries == expected["smallest"](k)
 
 
 def test_a_product_fills_only_the_jumps_it_touches(rng):
