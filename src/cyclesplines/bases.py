@@ -14,10 +14,10 @@ Triangulation and smallest are one chain of paired congruences with two
 representatives per step (pinned, or least positive); king has constant
 middle runs.  All three are closed forms and work at any n.
 
-The builders lay each element out run by run and hand its jump positions
-(see :meth:`FlowUpBasis._jumps`) to the basis, so an element costs O(n)
-C-level work plus O(change steps) Python work: one per chain step that can
-change an entry, and none for king.  Certifying a basis with
+The builders lay each element out run by run and hand its jumps, positions
+and values (see :attr:`FlowUpBasis._jumps`), to the basis, so an element
+costs O(n) C-level work plus O(change steps) Python work: one per chain
+step that can change an entry, and none for king.  Certifying a basis with
 :func:`check_flow_up_basis` reads every entry, about n²/2 edge tests, and
 now dominates a build-and-certify round.
 """
@@ -28,11 +28,11 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import KingPreconditionError, _dataclass_repr, _int_text
-from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
     Spline,
@@ -45,17 +45,20 @@ from .spline_core import (
 BASIS_KINDS = ("triangulation", "king", "smallest", "custom")
 
 _SYMBOLS = {"triangulation": "H", "king": "K", "smallest": "G", "custom": "G"}
+# (positions, values) of an element's nonzero first differences
+_Jumps = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def smallest_leading_entry(cycle: EdgeLabeledCycle, k: int) -> int:
     """m_k = lcm(label(k), gcd(label(k + 1), ..., label(n))) for k in [1, n - 1].
 
     Every spline with k leading zeros has a leading entry that is an integer
-    multiple of this value, and the value is achieved.
+    multiple of this value, and the value is achieved: it is the modulus of
+    the cycle's chain step into position k + 1, read from its table.
     """
     if not 1 <= k <= cycle.n - 1:
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
-    return lcm(cycle.label(k), cycle.suffix_gcd(k + 1))
+    return cycle._chain_steps[k - 1][1]
 
 
 def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
@@ -80,19 +83,19 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     return _chain_element(cycle, k, least=False)[0]
 
 
-def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> tuple[Spline, tuple[int, ...]]:
-    """Element k of the chain and the positions of its jumps: the pinned
-    representative of each step, or with ``least`` the least positive one.
-    Its leading entry is m_k, the lcm of the step into position k + 1.
+def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> tuple[Spline, _Jumps]:
+    """Element k of the chain and its jumps: the pinned representative of
+    each step, or with ``least`` the least positive one.  Its leading entry
+    is m_k, the lcm of the step into position k + 1.
 
     Only the steps in ``cycle._chain_changes`` are walked; every other step
     keeps the entry, so the element is one run per recorded position."""
     n = cycle.n
     if k == 0:
-        return trivial_spline(n), (0,)
+        return trivial_spline(n), ((0,), (1,))
     changes = cycle._chain_changes[least]
     h = cycle._chain_steps[k - 1][1]
-    entries, positions = [0] * k, [k]
+    entries, positions, values = [0] * k, [k], [h]
     # (k + 1,) sorts before every step (k + 1, mult, period) into position k + 1
     for p, mult, period in changes[bisect_left(changes, (k + 1,)) :]:
         # h > 0, so h * mult is 0 exactly when mult is, and then period == b
@@ -100,9 +103,10 @@ def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> tuple[Spline
         if new != h:
             entries += [h] * (p - len(entries))
             positions.append(p)
+            values.append(new - h)
             h = new
     entries += [h] * (n - len(entries))
-    return _trusted_spline(tuple(entries)), tuple(positions)
+    return _trusted_spline(tuple(entries)), (tuple(positions), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,10 @@ class FlowUpBasis:
     """An indexed family of flow-up splines on a cycle, element k having
     exactly k leading zeros.
 
-    Besides the elements, a basis keeps each element's jumps (see
-    :meth:`_jumps`).  The library's builders hand over where each element
-    jumps when they build it, and the jump values are computed the first
-    time they are asked for; a basis built from bare elements also finds
-    the positions then, with one O(n) scan of the element.
+    Besides the elements, a basis keeps one table of their jumps (see
+    :attr:`_jumps`).  The library's builders hand over each element's jump
+    positions and values as they build it; a basis built from bare elements
+    scans all of them once, on first use, at O(n) per element.
     """
 
     cycle: EdgeLabeledCycle
@@ -127,8 +130,6 @@ class FlowUpBasis:
             raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         elements = _check_flow_up_family(self.elements, self.cycle.n, "element")
         object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "_jump_table", [None] * len(elements))
-        object.__setattr__(self, "_jump_positions", [None] * len(elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -147,22 +148,20 @@ class FlowUpBasis:
     def leading_entries(self) -> tuple[int, ...]:
         return tuple(el.entries[k] for k, el in enumerate(self.elements))
 
-    def _jumps(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(positions, values) of the nonzero first differences of element k,
-        in ascending position order.  The first is (k, leading entry); king
-        and triangulation elements are runs of equal entries, so there are
-        few."""
-        jumps = self._jump_table[k]
-        if jumps is None:
-            e = self.elements[k].entries
-            positions = self._jump_positions[k]
-            if positions is None:
-                # e is zero before position k, so its first jump is the leading entry
-                later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
-                positions = (k, *later)
-            values = (e[k], *[e[p] - e[p - 1] for p in positions[1:]])
-            jumps = self._jump_table[k] = positions, values
-        return jumps
+    @cached_property
+    def _jumps(self) -> tuple[_Jumps, ...]:
+        """Slot k holds the (positions, values) of the nonzero first
+        differences of element k, in ascending position order.  The first
+        is (k, leading entry); king and triangulation elements are runs of
+        equal entries, so there are few."""
+        jumps = []
+        for k, element in enumerate(self.elements):
+            e = element.entries
+            # e is zero before position k, so its first jump is the leading entry
+            later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
+            positions = (k, *later)
+            jumps.append((positions, (e[k], *[e[p] - e[p - 1] for p in positions[1:]])))
+        return tuple(jumps)
 
 
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
@@ -177,12 +176,13 @@ def _chain_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
 
 
 def _built_basis(
-    cycle: EdgeLabeledCycle, kind: str, built: Sequence[tuple[Spline, tuple[int, ...]]]
+    cycle: EdgeLabeledCycle, kind: str, built: Sequence[tuple[Spline, _Jumps]]
 ) -> FlowUpBasis:
-    """The basis of the built (element, jump positions) pairs, keeping the positions."""
-    elements, positions = zip(*built)
+    """The basis of the built (element, jumps) pairs, keeping the jumps."""
+    elements, jumps = zip(*built)
     basis = FlowUpBasis(cycle, elements, kind)
-    basis._jump_positions[:] = positions
+    # seeds the cached property, so that it never scans
+    object.__setattr__(basis, "_jumps", jumps)
     return basis
 
 
@@ -200,13 +200,14 @@ def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """
     n = cycle.n
     a, b, inv = _king_tail(cycle)
-    # element i jumps at i, and at n - 1 unless l_i * b * inv == l_i
-    last = () if b * inv == 1 else (n - 1,)
-    built = [(trivial_spline(n), (0,))]
+    # element i jumps by l_i at i, and by k_i - l_i at n - 1 unless k_i == l_i
+    last = b * inv != 1
+    built = [(trivial_spline(n), ((0,), (1,)))]
     for i, li in enumerate(cycle.labels[: n - 2], start=1):
-        element = _trusted_spline((0,) * i + (li,) * (n - 1 - i) + (li * b * inv,))
-        built.append((element, (i, *last)))
-    built.append((_trusted_spline((0,) * (n - 1) + (a * b,)), (n - 1,)))
+        ki = li * b * inv
+        element = _trusted_spline((0,) * i + (li,) * (n - 1 - i) + (ki,))
+        built.append((element, ((i, n - 1), (li, ki - li)) if last else ((i,), (li,))))
+    built.append((_trusted_spline((0,) * (n - 1) + (a * b,)), ((n - 1,), (a * b,))))
     return _built_basis(cycle, "king", built)
 
 
@@ -260,7 +261,7 @@ def check_flow_up_basis(
     vector that is not a spline) raises :class:`BasisStructureError` naming
     the offending index.  A well-formed set is a basis iff candidate 0 is
     the all-ones spline up to sign and, for every k >= 1, candidate k's
-    leading entry is plus or minus :func:`smallest_leading_entry`.
+    leading entry is plus or minus m_k, read from the cycle's chain steps.
 
     Candidate k's congruences are tested on edges k..n only (all edges for
     candidate 0): edges 1..k-1 join two of its k leading zeros, which the
@@ -281,8 +282,7 @@ def check_flow_up_basis(
                 actual=first[0],
             )
         )
-    for k in range(1, n):
-        want = smallest_leading_entry(cycle, k)
+    for k, (_, want) in enumerate(cycle._chain_steps, start=1):
         got = cands[k].entries[k]
         if abs(got) != want:
             defects.append(

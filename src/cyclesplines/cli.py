@@ -172,8 +172,8 @@ def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[Enumera
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
     if args.format == "machine":
-        json.dump(payload, sys.stdout, separators=(", ", ": "))
-        sys.stdout.write("\n")
+        # json.dumps, unlike json.dump, runs the C encoder
+        sys.stdout.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
     else:
         for line in human_lines:
             print(line)

@@ -197,9 +197,10 @@ def _iter_graph_splines(
 
     def extend(pos: int) -> Iterator[tuple[int, ...]]:
         i0, lab0, rest = plan[pos]
-        walk = range(acc[i0] % lab0, bound + 1, lab0)
-        counter.spend(len(walk))
-        for val in walk:
+        start = acc[i0] % lab0
+        # counted arithmetically: len() of a range past 2**63 - 1 values overflows
+        counter.spend((bound - start) // lab0 + 1)
+        for val in range(start, bound + 1, lab0):
             for i, lab in rest:
                 if (val - acc[i]) % lab:
                     break

@@ -61,7 +61,7 @@ def _peel(differences: list[int], basis: FlowUpBasis) -> tuple[tuple[int, int], 
     terms = []
     # compress reads lazily: only still-nonzero differences are visited
     for k in compress(range(len(differences)), differences):
-        positions, values = basis._jumps(k)
+        positions, values = basis._jumps[k]
         lead = values[0]
         value = differences[k]
         if value % lead != 0:
@@ -83,7 +83,7 @@ def _product_differences(basis: FlowUpBasis, i: int, j: int) -> list[int]:
     e, f = basis[i].entries, basis[j].entries
     differences = [0] * len(e)
     previous = 0
-    for p in sorted({*basis._jumps(i)[0], *basis._jumps(j)[0]}):
+    for p in sorted({*basis._jumps[i][0], *basis._jumps[j][0]}):
         product = e[p] * f[p]
         differences[p] = product - previous
         previous = product
@@ -98,7 +98,7 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     # first differences of the sum of c * basis[k] over the nonzero c
     total = [0] * n
     for k, c in zip(compress(range(n), coefficients), filter(None, coefficients)):
-        positions, values = basis._jumps(k)
+        positions, values = basis._jumps[k]
         for p, v in zip(positions, values):
             total[p] += c * v
     # validated, so that a non-integer coefficient is rejected

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Sequence, Union
 
 from .errors import BasisStructureError, DimensionError, _dataclass_repr, _int_text
@@ -67,12 +68,7 @@ class EdgeLabeledCycle:
     @cached_property
     def _suffix_gcds(self) -> tuple[int, ...]:
         # one backward pass; slot i - 1 holds gcd(labels[i - 1], ..., labels[n - 1])
-        out = [0] * self.n
-        g = 0
-        for i in range(self.n - 1, -1, -1):
-            g = math.gcd(self.labels[i], g)
-            out[i] = g
-        return tuple(out)
+        return tuple(accumulate(reversed(self.labels), math.gcd))[::-1]
 
     @cached_property
     def _chain_steps(self) -> tuple[tuple[int, int], ...]:

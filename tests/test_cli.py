@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_king_cycle
 from cyclesplines import (
     EdgeLabeledCycle,
     Spline,
@@ -217,6 +218,25 @@ def test_oracle_smallest_budget_exhausted(capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
+    # each search walks a residue class of more than 2**63 - 1 values
+    code, _, err = run(
+        capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", str(10**21)
+    )
+    assert code == 3
+    assert "exceeded its budget" in err
+    lab = 10**10
+    path = tmp_path / "triangle.json"
+    edges = [[1, 2, lab], [2, 3, lab], [3, 1, lab]]
+    path.write_text(json.dumps({"graph": {"vertices": 3, "edges": edges}}))
+    code, _, err = run(
+        capsys, "oracle", "check-basis", "--input", str(path),
+        "--candidates", f"1,1,1;0,{lab},{lab};0,0,{lab}",
+    )
+    assert code == 3
+    assert "exceeded its budget" in err
 
 
 def test_oracle_smallest_bad_k(capsys):
@@ -493,6 +513,42 @@ def test_closed_stdout_exits_quietly():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 0
     assert err == ""
+
+
+def json_dump_text(payload):
+    out = io.StringIO()
+    json.dump(payload, out, separators=(", ", ": "))
+    return out.getvalue() + "\n"
+
+
+def test_machine_output_has_the_bytes_of_json_dump(monkeypatch, capsys, rng):
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(args, payload, lines):
+        payloads.append(payload)
+        emit(args, payload, lines)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    for label_range in ((1, 30), (10**29, 10**30 - 1)):
+        for _ in range(3):
+            cycle = random_king_cycle(rng, label_range=label_range)
+            cycle_arg = ",".join(map(str, cycle.labels))
+            coefficients = [rng.randint(-9, 9) for _ in range(cycle.n)]
+            entries = reconstruct(coefficients, triangulation_basis(cycle)).entries
+            broken = (*entries[:-1], entries[-1] + 1)
+            for argv in (
+                ["basis", "--kind", "king"],
+                ["basis", "--kind", "triangulation"],
+                ["table", "--kind", "king"],
+                ["decompose", "--kind", "triangulation", "--labels=" + ",".join(map(str, entries))],
+                ["verify", "--labels=" + ",".join(map(str, entries))],
+                ["verify", "--labels=" + ",".join(map(str, broken))],
+            ):
+                payloads.clear()
+                code, out, _ = run(capsys, *argv, "--cycle", cycle_arg, "--format", "machine")
+                assert code in (0, 1) and len(payloads) == 1
+                assert out == json_dump_text(payloads[0])
 
 
 # ------------------------------------------------------- exact at any size

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     egcd,
-    random_king_cycle,
     reference_chain_element,
     reference_check_basis,
     reference_cycle_flow_up,
@@ -458,7 +457,7 @@ def bases_of_every_kind(draw):
 def test_jump_prefix_sums_reproduce_every_element(basis):
     n = len(basis)
     for k, element in enumerate(basis):
-        positions, values = basis._jumps(k)
+        positions, values = basis._jumps[k]
         assert positions[0] == k and list(positions) == sorted(set(positions))
         assert all(values)
         differences = [0] * n
@@ -510,11 +509,6 @@ def reference_king_element(cycle, i):
     return tuple(0 if p < i else last if p == n - 1 else li for p in range(n))
 
 
-def scanned_jump_positions(entries):
-    """Positions p with entries[p] != entries[p - 1], entries[-1] read as 0."""
-    return tuple(p for p, (e, f) in enumerate(zip(entries, (0, *entries))) if e != f)
-
-
 @given(
     st.one_of(small_labels, ones_and_divisors, huge_labels, st.integers(3, 12).map(prime_quotients))
 )
@@ -531,21 +525,11 @@ def test_builders_hand_over_the_jumps_of_the_per_entry_elements(labels):
         basis = build(king_cycle if kind == "king" else cycle)
         for k, element in enumerate(basis):
             assert element.entries == expected[kind](k)
-            assert basis._jump_positions[k] == scanned_jump_positions(element.entries)
-            assert all(basis._jumps(k)[1])
+        # the handed-over jumps are what a bare basis finds by scanning
+        assert basis._jumps == FlowUpBasis(basis.cycle, basis.elements)._jumps
     for k in range(1, cycle.n):
         assert triangulation_spline(cycle, k).entries == expected["triangulation"](k)
         assert smallest_flow_up_class(cycle, k).entries == expected["smallest"](k)
-
-
-def test_a_product_fills_only_the_jumps_it_touches(rng):
-    cycle = random_king_cycle(rng, n_range=(200, 200))
-    for build in (triangulation_basis, king_basis):
-        for i, j in ((57, 131), (100, 100), (199, 5)):
-            basis = build(cycle)
-            cell = product_in_basis(basis, i, j)
-            filled = {k for k, jumps in enumerate(basis._jump_table) if jumps is not None}
-            assert filled == {i, j, *(k for k, _ in cell.terms)}
 
 
 # --------------------------------------- one enumerator vs the former two

@@ -5,6 +5,7 @@ from cyclesplines import (
     BasisStructureError,
     BudgetExceededError,
     EdgeLabeledCycle,
+    EdgeLabeledGraph,
     EnumerationBudget,
     Spline,
     brute_force_smallest,
@@ -85,6 +86,21 @@ def test_budget_counts_each_walked_value():
     assert [s.entries for s in found] == [(0, 0, 0), (0, 0, 15)]
     with pytest.raises(BudgetExceededError, match="budget of 3 states"):
         enumerate_flow_up_splines(cycle, 2, EnumerationBudget(15, 3))
+
+
+def test_walks_past_a_machine_word_exceed_the_budget():
+    # each search walks a residue class of more than 2**63 - 1 values
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    with pytest.raises(BudgetExceededError):
+        brute_force_smallest(cycle, 1, EnumerationBudget(10**21))
+    with pytest.raises(BudgetExceededError):
+        enumerate_flow_up_splines(cycle, 1, EnumerationBudget(10**21))
+    lab = 10**10
+    triangle = EdgeLabeledGraph(3, ((1, 2, lab), (2, 3, lab), (3, 1, lab)))
+    candidates = [(1, 1, 1), (0, lab, lab), (0, 0, lab)]
+    # the default budget of a general graph is its label product, 10**30
+    with pytest.raises(BudgetExceededError):
+        check_basis_by_definition(triangle, candidates)
 
 
 def test_enumeration_k_bounds():
