@@ -18,8 +18,8 @@ The builders lay each element out run by run and hand its jumps, positions
 and values (see :attr:`FlowUpBasis._jumps`), to the basis, so an element
 costs O(n) C-level work plus O(change steps) Python work: one per chain
 step that can change an entry, and none for king.  Certifying a basis with
-:func:`check_flow_up_basis` reads every entry, about n²/2 edge tests, and
-now dominates a build-and-certify round.
+:func:`check_flow_up_basis` still reads about n²/2 entries, in C, but
+reduces a congruence only where an entry changes, a few times per element.
 """
 
 from __future__ import annotations
@@ -265,9 +265,10 @@ def check_flow_up_basis(
 
     Candidate k's congruences are tested on edges k..n only (all edges for
     candidate 0): edges 1..k-1 join two of its k leading zeros, which the
-    shape check has just confirmed, so they hold.  A basis thus costs about
-    n²/2 edge tests, and a failing candidate is still reported by its first
-    violated edge.
+    shape check has just confirmed, so they hold.  A basis thus reads about
+    n²/2 entries, in C, and reduces a congruence only where an entry
+    changes (every edge of a tail with many changes); a failing candidate
+    is still reported by its first violated edge.
     """
     n = cycle.n
     cands = _check_flow_up_family(candidates, n, "candidate", cycle)

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby, islice
 from typing import Iterator, Sequence, Union
 
 from .errors import BasisStructureError, DimensionError, _dataclass_repr, _int_text
@@ -153,7 +153,7 @@ class EdgeLabeledGraph:
         return math.prod(lab for _, _, lab in self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Spline:
     """Integer vertex labels in tuple order (g_1, ..., g_n).
 
@@ -274,15 +274,31 @@ class SplineCheck:
 def _cycle_edges_hold(entries: tuple[int, ...], labels: tuple[int, ...], start: int) -> bool:
     """Whether the congruences of cycle edges start, start + 1, ..., n all hold.
 
-    Edge i < n joins vertices i and i + 1, so edges start..n - 1 compare the
-    entries from vertex start on with the same entries shifted by one; edge
-    n wraps from vertex n to vertex 1 and is tested on its own.
+    Edge n wraps from vertex n to vertex 1 and is tested on its own.  Edge
+    i < n joins vertices i and i + 1 and holds trivially inside a run of
+    equal entries, so every entry from vertex start on is read once, in C,
+    to find its runs, and a congruence is reduced only where a run begins.
+    A tail with more than a quarter as many runs as entries (a generic
+    combination, wide labels) stops that read early and has every edge
+    reduced instead.
     """
     n = len(entries)
     if (entries[n - 1] - entries[0]) % labels[n - 1]:
         return False
-    differences = map(operator.sub, entries[start - 1 : n - 1], entries[start:])
-    return not any(map(operator.mod, differences, labels[start - 1 : n - 1]))
+    tail = entries[start - 1 :]
+    limit = len(tail) // 4
+    runs = list(islice(map(operator.itemgetter(0), groupby(tail)), limit + 1))
+    if len(runs) > limit:
+        differences = map(operator.sub, tail, entries[start:])
+        return not any(map(operator.mod, differences, labels[start - 1 : n - 1]))
+    # the run before v's holds only values other than v, so the first v
+    # after that run's start is where v's run begins, even if v recurs later
+    p = start - 1
+    for u, v in zip(runs, runs[1:]):
+        p = entries.index(v, p + 1)
+        if (u - v) % labels[p - 1]:
+            return False
+    return True
 
 
 def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:
@@ -343,8 +359,9 @@ def _check_flow_up_family(
     1..n for member 0): once its first k entries are known to be zero, each
     of edges 1..k-1 joins two zero vertices and holds.  Edge k joins the
     zero at vertex k to vertex k + 1, and edge n wraps from vertex n to the
-    zero at vertex 1, so both are still tested.  General graphs are checked
-    on every edge.
+    zero at vertex 1, so both are still tested, and inside the tail only the
+    edges where an entry changes are reduced (see :func:`_cycle_edges_hold`).
+    General graphs are checked on every edge.
     """
     family = tuple(
         m if isinstance(m, Spline) else _trusted_spline(_as_int_tuple(m, "vertex labels"))
@@ -356,7 +373,7 @@ def _check_flow_up_family(
         entries = member.entries
         if len(entries) != n:
             raise BasisStructureError(f"{noun} {k} has {len(entries)} entries, expected {n}")
-        if any(entries[:k]) or entries[k] == 0:
+        if entries[:k].count(0) != k or entries[k] == 0:
             raise BasisStructureError(
                 f"{noun} {k} must have exactly {k} leading zeros, "
                 f"found {leading_zeros(entries)}"

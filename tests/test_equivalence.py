@@ -253,17 +253,58 @@ def test_tail_certification_reports_the_first_violation(labels, data):
         assert certification_outcome(check, graph, candidates) == text
 
 
-@given(st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=4), st.data())
-def test_tail_certification_verdicts_match_reference(labels, data):
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=3, max_size=4),
+    st.sampled_from([triangulation_basis, smallest_basis, king_basis]),
+    st.data(),
+)
+def test_tail_certification_verdicts_match_reference(labels, builder, data):
+    if builder is king_basis and math.gcd(labels[-2], labels[-1]) != 1:
+        labels = labels[:-1] + [1]
     cycle = EdgeLabeledCycle(tuple(labels))
     n = cycle.n
-    candidates = list(triangulation_basis(cycle))
+    candidates = list(builder(cycle))
     if data.draw(st.booleans()):
         k = data.draw(st.sampled_from([0, 1, n - 1]))
         candidates[k] = candidates[k] * 2
     verdict = reference_certify(cycle, candidates)
     assert bool(check_flow_up_basis(cycle, candidates)) == verdict
     assert check_basis_by_definition(cycle, candidates) == verdict
+
+
+@st.composite
+def run_structured_tails(draw):
+    """(entries, labels): runs over a few recurring values, some entries an
+    equal but distinct copy of a big int, with run lengths that put the
+    tails on both sides of the dense threshold."""
+    values = draw(
+        st.lists(st.sampled_from([0, 1, -1, 2, 6, 12, 10**30, 12 * 10**30]), min_size=1, max_size=3)
+    )
+    longest = draw(st.sampled_from([1, 2, 12]))
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(values), st.integers(min_value=1, max_value=longest)),
+            min_size=3,
+            max_size=40,
+        )
+    )
+    entries = [value for value, length in runs for _ in range(length)]
+    n = len(entries)
+    copies = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    entries = tuple(int(str(e)) if c else e for e, c in zip(entries, copies))
+    labels = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3, 4, 6, 12]), min_size=n, max_size=n))
+    return entries, tuple(labels)
+
+
+@given(run_structured_tails())
+def test_tail_edge_test_matches_the_per_edge_walk(tail):
+    entries, labels = tail
+    n = len(entries)
+    for start in range(1, n + 1):
+        expected = all(
+            (entries[i - 1] - entries[i % n]) % labels[i - 1] == 0 for i in range(start, n + 1)
+        )
+        assert spline_core._cycle_edges_hold(entries, labels, start) == expected
 
 
 def test_cycle_certification_makes_no_is_spline_call(monkeypatch):

@@ -1,5 +1,8 @@
 import contextlib
+import copy
+import dataclasses
 import operator
+import pickle
 import sys
 
 import pytest
@@ -136,6 +139,17 @@ def test_spline_operators():
     assert (5 * a).entries == (5, 10, 15)
     assert (a * b).entries == (0, 20, 300)
     assert len(a) == 3 and a[2] == 3 and list(a) == [1, 2, 3]
+
+
+def test_splines_have_no_instance_dict_and_survive_pickle_and_deepcopy():
+    checked = Spline((1, -(10**40), 0))
+    trusted = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))[1]
+    for spline in (checked, trusted):
+        assert not hasattr(spline, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(spline)), copy.deepcopy(spline)):
+            assert type(twin) is Spline and twin == spline
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spline.entries = (1, 1, 1)
 
 
 def test_spline_helper_functions():
