@@ -29,7 +29,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
 from .bases import king_basis, smallest_basis, triangulation_basis
 from .errors import BudgetExceededError, CycleSplinesError, DimensionError
@@ -170,7 +171,9 @@ def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[Enumera
     return EnumerationBudget(bound, states)
 
 
-def _emit(args: argparse.Namespace, payload: dict, human_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, human_lines: Iterable[str]) -> None:
+    """Write the payload in machine mode, else the lines; a lazy iterable of
+    lines is never built in machine mode."""
     if args.format == "machine":
         # json.dumps, unlike json.dump, runs the C encoder
         sys.stdout.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
@@ -220,10 +223,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_basis(args: argparse.Namespace) -> int:
     basis = _BUILDERS[args.kind](_require_cycle(_load_target(args), "basis"))
-    lines = [
+    lines = (
         f"{basis.symbol}{k}: {_spline_text(element.entries)}"
         for k, element in enumerate(basis.elements)
-    ]
+    )
     payload = {"kind": basis.kind, "basis": [list(element.entries) for element in basis]}
     _emit(args, payload, lines)
     return EXIT_OK
@@ -269,7 +272,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if args.kind == "king":
         table = king_multiplication_table(cycle)
         symbol = "K"
-        lines = []
+        header = []
     else:
         try:
             table = triangulation_table_3cycle(cycle)
@@ -283,15 +286,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
             return EXIT_DOMAIN
         symbol = "H"
         phi = dict(table[1][1].terms).get(2, 0)
-        lines = [f"Phi = {phi}"]
+        header = [f"Phi = {phi}"]
     n = len(table)
-    cells = []
-    for i in range(n):
-        for j in range(i, n):
-            cell = table[i][j]
-            cells.append({"i": i, "j": j, "terms": [list(t) for t in cell.terms]})
-            lines.append(f"{symbol}{i} * {symbol}{j} = {cell.render(symbol)}")
-    _emit(args, {"kind": args.kind, "table": cells}, lines)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    cells = [{"i": i, "j": j, "terms": [list(t) for t in table[i][j].terms]} for i, j in pairs]
+    lines = (f"{symbol}{i} * {symbol}{j} = {table[i][j].render(symbol)}" for i, j in pairs)
+    _emit(args, {"kind": args.kind, "table": cells}, chain(header, lines))
     return EXIT_OK
 
 

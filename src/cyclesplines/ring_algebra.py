@@ -5,18 +5,21 @@ at position k + 1 among elements k..n - 1, coefficients can be peeled off
 front to back by exact division (forward substitution).  Peeling and
 combining work on first differences: king elements are constant runs and
 triangulation entries repeat wherever the chain multiplier is 1, so each
-element has few nonzero differences ("jumps"), and a step costs one per
-jump rather than one per position.  On top of that this module provides
-the closed-form products of king basis elements, the closed-form
-three-cycle table in the triangulation basis, and a generic product path
-(componentwise multiply, then decompose) that works in any flow-up basis
-on any cycle.  Both tables check each cell once, against the peel of the
-componentwise product.
+element has few nonzero differences ("jumps").  The one peel keeps only
+the nonzero differences, by position, so a step costs one per jump and
+never one per position: a product of two elements, which differs only at
+their jumps, costs O(jumps) whatever n is, and a table n² times that.
+On top of that this module provides the closed-form products of king
+basis elements, the closed-form three-cycle table in the triangulation
+basis, and a generic product path (componentwise multiply, then
+decompose) that works in any flow-up basis on any cycle.  Both tables
+check each cell once, against the peel of the componentwise product.
 """
 
 from __future__ import annotations
 
 import operator
+from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Callable, Sequence
@@ -29,9 +32,9 @@ from .spline_core import Spline, SplineLike, spline_entries
 def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
     """Coefficients c with s equal to the sum of c[k] * basis[k].
 
-    Takes the first differences of s once and peels on them (see
-    :func:`_peel`): one C-level pass over the n positions plus O(jumps)
-    per nonzero coefficient.
+    Takes the first differences of s in one C-level pass over the n
+    positions and peels on the nonzero ones (see :func:`_peel`), at
+    O(jumps) per nonzero coefficient.
 
     Raises :class:`NotInSpanError` when a peeling step hits a non-integer
     quotient.  A vector that fails the edge congruences always does: every
@@ -44,49 +47,67 @@ def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
         raise DimensionError(f"expected {n} entries, got {len(entries)}")
     coefficients = [0] * n
     # entries[p] - entries[p - 1] at every position, entries[-1] read as 0
-    for k, c in _peel(list(map(operator.sub, entries, (0, *entries))), basis):
+    differences = list(map(operator.sub, entries, (0, *entries)))
+    for k, c in _peel(dict(compress(enumerate(differences), differences)), basis):
         coefficients[k] = c
     return tuple(coefficients)
 
 
-def _peel(differences: list[int], basis: FlowUpBasis) -> tuple[tuple[int, int], ...]:
+def _peel(differences: dict[int, int], basis: FlowUpBasis) -> tuple[tuple[int, int], ...]:
     """The (k, c) terms, ascending in k and with c != 0, of the combination
-    of basis elements whose first differences are ``differences``, which
-    is consumed.
+    of basis elements whose first differences are ``differences``, a map
+    from position to difference with its keys in ascending order, which is
+    consumed.  Positions missing from it have difference 0.
 
     Before step k the remainder vanishes at positions 1..k, so its
     difference at position k + 1 is its entry there, and subtracting
-    c * basis[k] touches only that element's jumps.
+    c * basis[k] touches only that element's jumps.  Those all lie at k or
+    past it, so a position they add to the map is still pending, and the
+    cost is O(jumps) per term, whatever n is.
     """
+    jumps = basis._jumps
     terms = []
-    # compress reads lazily: only still-nonzero differences are visited
-    for k in compress(range(len(differences)), differences):
-        positions, values = basis._jumps[k]
-        lead = values[0]
+    pending = list(differences)
+    # a for loop reads a list by index, so it reaches every position
+    # inserted past the current one
+    for k in pending:
         value = differences[k]
-        if value % lead != 0:
+        if not value:
+            continue
+        positions, values = jumps[k]
+        lead = values[0]
+        c, remainder = divmod(value, lead)
+        if remainder:
             raise NotInSpanError(
                 f"entry {_int_text(value)} at position {k + 1} is not a multiple of the "
                 f"leading entry {_int_text(lead)} of basis element {k}"
             )
-        c = value // lead
         terms.append((k, c))
         for p, v in zip(positions, values):
-            differences[p] -= c * v
+            try:
+                differences[p] -= c * v
+            except KeyError:
+                differences[p] = -c * v
+                insort(pending, p)
     return tuple(terms)
 
 
-def _product_differences(basis: FlowUpBasis, i: int, j: int) -> list[int]:
-    """First differences of basis[i] * basis[j].  Where neither element
-    jumps, both factors repeat their previous entry, and so does the
-    product."""
-    e, f = basis[i].entries, basis[j].entries
-    differences = [0] * len(e)
+def _product_differences(basis: FlowUpBasis, i: int, j: int) -> dict[int, int]:
+    """First differences of basis[i] * basis[j], keyed by position in
+    ascending order, over the jump positions of the two elements from
+    max(i, j) on.  Before that the later element is zero, and so is the
+    product; where neither element jumps, both factors repeat their
+    previous entry, and so does the product."""
+    elements, jumps = basis.elements, basis._jumps
+    e, f = elements[i].entries, elements[j].entries
+    start = max(i, j)
+    differences = {}
     previous = 0
-    for p in sorted({*basis._jumps[i][0], *basis._jumps[j][0]}):
-        product = e[p] * f[p]
-        differences[p] = product - previous
-        previous = product
+    for p in sorted({*jumps[i][0], *jumps[j][0]}):
+        if p >= start:
+            product = e[p] * f[p]
+            differences[p] = product - previous
+            previous = product
     return differences
 
 
@@ -105,7 +126,7 @@ def reconstruct(coefficients: Sequence[int], basis: FlowUpBasis) -> Spline:
     return Spline(tuple(accumulate(total)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProductDecomposition:
     """A product of two basis elements written in the basis itself.
 
@@ -149,7 +170,8 @@ def _terms(pairs: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 def product_in_basis(basis: FlowUpBasis, i: int, j: int) -> ProductDecomposition:
     """Generic product path: componentwise multiply, then decompose, both
-    on first differences, so the cost is O(jumps) past one O(n) pass.
+    on first differences at the two elements' jumps, so the cost is
+    O(jumps), with no pass over the n positions.
 
     Works in any flow-up basis on any cycle; the closed forms below are
     cross-checked against it.
@@ -166,7 +188,8 @@ def _king_cell(cycle, i: int, j: int, a: int, b: int, inv: int) -> ProductDecomp
     """The king product of elements i and j, from the (a, b, inv) of
     :func:`king_basis`: element k ends in k_k = l_k * b * inv, and element
     n - 1 in k_{n-1} = a * b."""
-    n = cycle.n
+    labels = cycle.labels
+    n = len(labels)
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise IndexError(f"indices must be in [0, {n - 1}], got ({i}, {j})")
     if i > j:
@@ -174,19 +197,19 @@ def _king_cell(cycle, i: int, j: int, a: int, b: int, inv: int) -> ProductDecomp
     if i == 0:
         return ProductDecomposition(i, j, ((j, 1),))
     k_last = a * b
-    l_i = cycle.label(i)
+    l_i = labels[i - 1]
     k_i = k_last if i == n - 1 else l_i * b * inv
     if j == n - 1:
         return ProductDecomposition(i, j, _terms(((n - 1, k_i),)))
-    numerator = cycle.label(j) * b * inv * (k_i - l_i)
-    if numerator % k_last != 0:
+    numerator = labels[j - 1] * b * inv * (k_i - l_i)
+    c, remainder = divmod(numerator, k_last)
+    if remainder:
         raise InvariantViolationError(
             f"king product coefficient {_int_text(numerator)}/{_int_text(k_last)} "
             f"is not integral"
         )
-    return ProductDecomposition(
-        i, j, _terms(((j, l_i), (n - 1, numerator // k_last)))
-    )
+    # labels are positive, so only the K_{n-1} term can vanish
+    return ProductDecomposition(i, j, ((j, l_i), (n - 1, c)) if c else ((j, l_i),))
 
 
 def king_product(cycle, i: int, j: int) -> ProductDecomposition:

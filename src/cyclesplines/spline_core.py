@@ -287,10 +287,11 @@ def _cycle_edges_hold(entries: tuple[int, ...], labels: tuple[int, ...], start: 
         return False
     tail = entries[start - 1 :]
     limit = len(tail) // 4
-    runs = list(islice(map(operator.itemgetter(0), groupby(tail)), limit + 1))
-    if len(runs) > limit:
+    groups = list(islice(groupby(tail), limit + 1))
+    if len(groups) > limit:
         differences = map(operator.sub, tail, entries[start:])
         return not any(map(operator.mod, differences, labels[start - 1 : n - 1]))
+    runs = [value for value, _ in groups]
     # the run before v's holds only values other than v, so the first v
     # after that run's start is where v's run begins, even if v recurs later
     p = start - 1

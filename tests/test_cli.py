@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import random_king_cycle
 from cyclesplines import (
     EdgeLabeledCycle,
+    ProductDecomposition,
     Spline,
     check_flow_up_basis,
     decompose,
@@ -195,6 +196,24 @@ def test_table_triangulation_three_cycle(capsys):
     lines = out.splitlines()
     assert lines[0] == "Phi = 8"
     assert "H1 * H1 = 2*H1 + 8*H2" in lines
+
+
+def test_machine_mode_renders_no_human_text(capsys, monkeypatch):
+    commands = [
+        ("basis", "--cycle", "3,4,8,2,5", "--kind", "king"),
+        ("table", "--cycle", "3,4,8,2,5", "--kind", "king"),
+        ("table", "--cycle", "2,5,3", "--kind", "triangulation"),
+    ]
+    expected = [run(capsys, *argv, "--format", "machine") for argv in commands]
+
+    def refuse(*args):
+        raise AssertionError("machine mode built a human line")
+
+    monkeypatch.setattr(cli, "_spline_text", refuse)
+    monkeypatch.setattr(ProductDecomposition, "render", refuse)
+    for argv, before in zip(commands, expected):
+        assert before[0] == 0
+        assert run(capsys, *argv, "--format", "machine") == before
 
 
 def test_table_triangulation_needs_three_cycle(capsys):

@@ -527,6 +527,22 @@ def test_first_differences_match_the_dense_peel(basis, data):
 
 
 @given(bases_of_every_kind(), st.data())
+def test_product_differences_sit_on_the_jumps_of_both_factors(basis, data):
+    n = len(basis)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    product = tuple(a * b for a, b in zip(basis[i].entries, basis[j].entries))
+    for first, second in ((i, j), (j, i)):
+        differences = ring_algebra._product_differences(basis, first, second)
+        assert list(differences) == sorted(differences)
+        assert set(differences) <= {*basis._jumps[i][0], *basis._jumps[j][0]}
+        assert all(p >= max(i, j) for p in differences)
+        dense = [0] * n
+        for p, v in differences.items():
+            dense[p] = v
+        assert tuple(accumulate(dense)) == product
+
+
+@given(bases_of_every_kind(), st.data())
 def test_not_in_span_text_matches_the_dense_peel(basis, data):
     n = len(basis)
     coefficients = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import sys
 
 import pytest
@@ -143,6 +146,23 @@ def test_king_multiplication_table():
             assert cell == table[j][i]
             assert cell.reconstruct(basis) == pointwise_mul(basis[i], basis[j])
     assert table[1][3].terms == ((3, 3), (4, 48))
+
+
+def test_king_table_at_scale_matches_king_product(rng):
+    cycle = random_king_cycle(rng, n_range=(300, 300))
+    table = king_multiplication_table(cycle)
+    for i, row in enumerate(table):
+        for j, cell in enumerate(row):
+            assert cell == king_product(cycle, i, j)
+
+
+def test_product_cells_have_no_instance_dict_and_survive_pickle_and_deepcopy():
+    cell = king_product(EdgeLabeledCycle((3, 4, 8, 2, 10**40 + 1)), 1, 3)
+    assert not hasattr(cell, "__dict__")
+    for twin in (pickle.loads(pickle.dumps(cell)), copy.deepcopy(cell)):
+        assert type(twin) is ProductDecomposition and twin == cell
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cell.terms = ()
 
 
 # -------------------------------------------------------------- triangulation ring
