@@ -20,16 +20,16 @@ costs O(n) C-level work plus O(change steps) Python work: one per chain
 step that can change an entry, and none for king.  Certifying a basis with
 :func:`check_flow_up_basis` still reads about n²/2 entries, in C, but
 reduces a congruence only where an entry changes, a few times per element.
+That test and the jump scan of a basis built from bare elements find the
+changes with one run finder, whatever their number.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import KingPreconditionError, _dataclass_repr, _int_text
@@ -38,6 +38,7 @@ from .spline_core import (
     Spline,
     SplineLike,
     _check_flow_up_family,
+    _run_starts,
     _trusted_spline,
     trivial_spline,
 )
@@ -158,9 +159,8 @@ class FlowUpBasis:
         for k, element in enumerate(self.elements):
             e = element.entries
             # e is zero before position k, so its first jump is the leading entry
-            later = compress(range(k + 1, len(e)), map(operator.ne, e[k + 1 :], e[k:]))
-            positions = (k, *later)
-            jumps.append((positions, (e[k], *[e[p] - e[p - 1] for p in positions[1:]])))
+            runs = list(_run_starts(e, k))
+            jumps.append(((k, *[p for p, _, _ in runs]), (e[k], *[v - u for _, u, v in runs])))
         return tuple(jumps)
 
 
@@ -267,8 +267,8 @@ def check_flow_up_basis(
     candidate 0): edges 1..k-1 join two of its k leading zeros, which the
     shape check has just confirmed, so they hold.  A basis thus reads about
     n²/2 entries, in C, and reduces a congruence only where an entry
-    changes (every edge of a tail with many changes); a failing candidate
-    is still reported by its first violated edge.
+    changes; a failing candidate is reported by its first violated edge,
+    found in that same pass.
     """
     n = cycle.n
     cands = _check_flow_up_family(candidates, n, "candidate", cycle)

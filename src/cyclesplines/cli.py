@@ -35,11 +35,11 @@ from typing import Iterable, Optional, Sequence
 from .bases import king_basis, smallest_basis, triangulation_basis
 from .errors import BudgetExceededError, CycleSplinesError, DimensionError
 from .oracle import (
+    DEFAULT_MAX_STATES,
     EnumerationBudget,
     brute_force_smallest,
     check_basis_by_definition,
-    default_budget,
-    smallest_class_bound,
+    search_bound,
     verify_triangulated_extension,
 )
 from .ring_algebra import (
@@ -152,22 +152,13 @@ def _parse_labels(args: argparse.Namespace, n: int) -> list[int]:
     return values
 
 
-def _budget_for(args: argparse.Namespace, target: GraphLike) -> Optional[EnumerationBudget]:
-    bound, states = args.bound, args.max_states
-    if bound is None and states is None:
-        return None
-    if bound is None:
-        bound = (
-            smallest_class_bound(target)
-            if isinstance(target, EdgeLabeledCycle)
-            else default_budget(target).entry_bound
-        )
+def _budget_for(args: argparse.Namespace, target: GraphLike) -> EnumerationBudget:
+    bound = search_bound(target) if args.bound is None else args.bound
+    states = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
     if bound < 1:
         raise _InputError(f"--bound must be positive, got {bound}")
-    if states is not None and states < 1:
+    if states < 1:
         raise _InputError(f"--max-states must be positive, got {states}")
-    if states is None:
-        return EnumerationBudget(bound)
     return EnumerationBudget(bound, states)
 
 

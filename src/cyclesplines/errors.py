@@ -8,6 +8,7 @@ types usable in generic code that never imports this module.
 
 import dataclasses
 import math
+from typing import Optional
 
 
 class CycleSplinesError(Exception):
@@ -40,7 +41,23 @@ class NotInSpanError(CycleSplinesError, ArithmeticError):
 
 
 class BudgetExceededError(CycleSplinesError, RuntimeError):
-    """An exhaustive search was aborted after exhausting its budget."""
+    """An exhaustive search was aborted after exhausting its budget.
+
+    ``spent`` is the number of states charged when it stopped, the walk
+    that crossed the limit in full, ``limit`` the state limit and
+    ``entry_bound`` the bound of the searched box; each is None where it
+    does not apply.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        spent: Optional[int] = None,
+        limit: Optional[int] = None,
+        entry_bound: Optional[int] = None,
+    ) -> None:
+        super().__init__(message)
+        self.spent, self.limit, self.entry_bound = spent, limit, entry_bound
 
 
 class InvariantViolationError(CycleSplinesError, RuntimeError):

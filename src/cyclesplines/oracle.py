@@ -12,11 +12,12 @@ aborts with :class:`BudgetExceededError` rather than running away.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr
+from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr, _int_text
 from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
@@ -80,20 +81,44 @@ def smallest_class_bound(cycle: EdgeLabeledCycle) -> int:
     return max(lcm(cycle.label(i - 1), cycle.suffix_gcd(i)) for i in range(2, cycle.n + 1))
 
 
+def search_bound(graph: GraphLike) -> int:
+    """The entry bound of a search given none: :func:`smallest_class_bound`
+    for a cycle, and the lcm D of the labels for a general graph.
+
+    Every label divides D, so D times the indicator of one vertex is a
+    spline.  The entries at vertex i + 1 of the splines with i leading zeros
+    are the multiples of some m_i > 0, and D is one of them, so m_i divides
+    D.  Adding multiples of those indicator splines to a spline that has i
+    leading zeros and m_i at vertex i + 1 reduces its later entries mod D
+    and keeps it a spline, which then lies in [0, D].  That is the witness
+    :func:`check_basis_by_definition` needs against every leading entry
+    other than plus or minus m_i.
+    """
+    if isinstance(graph, EdgeLabeledCycle):
+        return smallest_class_bound(graph)
+    return math.lcm(*(lab for _, _, lab in graph.edges))
+
+
 class _StateCounter:
     """Counts candidate values considered; raises once the budget is spent."""
 
-    __slots__ = ("left", "limit")
+    __slots__ = ("left", "budget")
 
-    def __init__(self, limit: int) -> None:
-        self.left = limit
-        self.limit = limit
+    def __init__(self, budget: EnumerationBudget) -> None:
+        self.left = budget.max_states
+        self.budget = budget
 
     def spend(self, count: int) -> None:
         self.left -= count
         if self.left < 0:
+            limit, bound = self.budget.max_states, self.budget.entry_bound
+            spent = limit - self.left
             raise BudgetExceededError(
-                f"enumeration exceeded its budget of {self.limit} states"
+                f"enumeration exceeded its budget of {_int_text(limit)} states: "
+                f"{_int_text(spent)} charged, entry bound {_int_text(bound)}",
+                spent=spent,
+                limit=limit,
+                entry_bound=bound,
             )
 
 
@@ -135,7 +160,8 @@ def brute_force_smallest(
     if best is None:
         raise BudgetExceededError(
             f"no flow-up spline with exactly {k} leading zeros and positive "
-            f"entries within entry bound {budget.entry_bound}"
+            f"entries within entry bound {budget.entry_bound}",
+            entry_bound=budget.entry_bound,
         )
     result = Spline(best)
     if not is_spline(cycle, result):
@@ -191,7 +217,7 @@ def _iter_graph_splines(
     if min_leading_zeros == n:
         return iter([(0,) * n])
     bound = budget.entry_bound
-    counter = _StateCounter(budget.max_states)
+    counter = _StateCounter(budget)
     plan = _lower_constraints(graph)
     acc = [0] * n
 
@@ -227,18 +253,14 @@ def check_basis_by_definition(
     entry.  The scan for index i is skipped when that leading entry is a
     unit, and the whole check short-circuits on the first witness against.
 
-    Exhaustive at desk scale only.  For a cycle the default budget is the
-    bound of :func:`smallest_class_bound`, which always contains a witness
-    when one exists because candidates are required to be splines (their
-    leading entries are then multiples of the minimal ones, and the minimal
-    class itself refutes any strict multiple).  For a general graph the
-    default is the label-product bound.
+    Exhaustive at desk scale only.  The default box is that of
+    :func:`search_bound`, which always contains a witness when one exists
+    because candidates are required to be splines: their leading entries
+    are then multiples of the minimal ones, and a spline reaching the
+    minimal one refutes any strict multiple.
     """
     if budget is None:
-        if isinstance(graph, EdgeLabeledCycle):
-            budget = EnumerationBudget(smallest_class_bound(graph))
-        else:
-            budget = default_budget(graph)
+        budget = EnumerationBudget(search_bound(graph))
     cands = _check_flow_up_family(candidates, vertex_count(graph), "candidate", graph)
     for i, cand in enumerate(cands):
         lead = cand.entries[i]

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby, islice
+from itertools import accumulate, groupby
 from typing import Iterator, Sequence, Union
 
 from .errors import BasisStructureError, DimensionError, _dataclass_repr, _int_text
@@ -271,35 +271,43 @@ class SplineCheck:
         return self.ok
 
 
-def _cycle_edges_hold(entries: tuple[int, ...], labels: tuple[int, ...], start: int) -> bool:
-    """Whether the congruences of cycle edges start, start + 1, ..., n all hold.
+def _run_starts(entries: tuple[int, ...], start: int) -> Iterator[tuple[int, int, int]]:
+    """(p, previous, value) at each 0-based position p > start where the
+    entry changes, value = entries[p] != previous = entries[p - 1], in
+    ascending order.
 
-    Edge n wraps from vertex n to vertex 1 and is tested on its own.  Edge
-    i < n joins vertices i and i + 1 and holds trivially inside a run of
-    equal entries, so every entry from vertex start on is read once, in C,
-    to find its runs, and a congruence is reduced only where a run begins.
-    A tail with more than a quarter as many runs as entries (a generic
-    combination, wide labels) stops that read early and has every edge
-    reduced instead.
+    One ``groupby`` pass, in C, reads the run values of ``entries[start:]``.
+    The run before value v's holds only values other than v, so the first v
+    after that run's start is where v's run begins, even if v recurs later,
+    and ``entries.index`` finds it in C too.
     """
-    n = len(entries)
-    if (entries[n - 1] - entries[0]) % labels[n - 1]:
-        return False
-    tail = entries[start - 1 :]
-    limit = len(tail) // 4
-    groups = list(islice(groupby(tail), limit + 1))
-    if len(groups) > limit:
-        differences = map(operator.sub, tail, entries[start:])
-        return not any(map(operator.mod, differences, labels[start - 1 : n - 1]))
-    runs = [value for value, _ in groups]
-    # the run before v's holds only values other than v, so the first v
-    # after that run's start is where v's run begins, even if v recurs later
-    p = start - 1
-    for u, v in zip(runs, runs[1:]):
-        p = entries.index(v, p + 1)
-        if (u - v) % labels[p - 1]:
-            return False
-    return True
+    values = [value for value, _ in groupby(entries[start:])]
+    p = start
+    positions = [p := entries.index(value, p + 1) for value in values[1:]]
+    return zip(positions, values, values[1:])
+
+
+def _violations(graph: GraphLike, entries: tuple[int, ...], skip: int = 0) -> Iterator[EdgeViolation]:
+    """Yield the edges whose congruence fails, in edge order.
+
+    On a cycle the first ``skip`` edges are taken to hold.  Edge i < n joins
+    vertices i and i + 1 and holds inside a run of equal entries, so it is
+    reduced only where :func:`_run_starts` finds a change; edge n wraps from
+    vertex n to vertex 1 and is reduced last.  A general graph has every
+    edge reduced.
+    """
+    if isinstance(graph, EdgeLabeledCycle):
+        labels = graph.labels
+        for p, u, v in _run_starts(entries, skip):
+            if (u - v) % labels[p - 1]:
+                yield EdgeViolation(p, p, p + 1, labels[p - 1], u, v)
+        n = len(entries)
+        if (entries[n - 1] - entries[0]) % labels[n - 1]:
+            yield EdgeViolation(n, n, 1, labels[n - 1], entries[n - 1], entries[0])
+        return
+    for i, u, v, lab in labeled_edges(graph):
+        if (entries[u - 1] - entries[v - 1]) % lab:
+            yield EdgeViolation(i, u, v, lab, entries[u - 1], entries[v - 1])
 
 
 def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:
@@ -308,13 +316,8 @@ def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:
     n = vertex_count(graph)
     if len(entries) != n:
         raise DimensionError(f"expected {n} vertex labels, got {len(entries)}")
-    if isinstance(graph, EdgeLabeledCycle) and _cycle_edges_hold(entries, graph.labels, 1):
-        return SplineCheck(True, ())
-    violations = []
-    for i, u, v, lab in labeled_edges(graph):
-        if (entries[u - 1] - entries[v - 1]) % lab != 0:
-            violations.append(EdgeViolation(i, u, v, lab, entries[u - 1], entries[v - 1]))
-    return SplineCheck(not violations, tuple(violations))
+    violations = tuple(_violations(graph, entries))
+    return SplineCheck(not violations, violations)
 
 
 def trivial_spline(n: int) -> Spline:
@@ -360,9 +363,10 @@ def _check_flow_up_family(
     1..n for member 0): once its first k entries are known to be zero, each
     of edges 1..k-1 joins two zero vertices and holds.  Edge k joins the
     zero at vertex k to vertex k + 1, and edge n wraps from vertex n to the
-    zero at vertex 1, so both are still tested, and inside the tail only the
-    edges where an entry changes are reduced (see :func:`_cycle_edges_hold`).
-    General graphs are checked on every edge.
+    zero at vertex 1, so both are still tested.  One pass over the tail
+    reduces only the edges where an entry changes and stops at the first
+    violation, which the message names (see :func:`_violations`).  General
+    graphs are checked on every edge.
     """
     family = tuple(
         m if isinstance(m, Spline) else _trusted_spline(_as_int_tuple(m, "vertex labels"))
@@ -380,14 +384,7 @@ def _check_flow_up_family(
                 f"found {leading_zeros(entries)}"
             )
         if graph is not None:
-            # a member failing its tail is walked in full for the message
-            if isinstance(graph, EdgeLabeledCycle) and _cycle_edges_hold(
-                entries, graph.labels, max(k, 1)
-            ):
-                continue
-            check = is_spline(graph, member)
-            if not check:
-                raise BasisStructureError(
-                    f"{noun} {k} is not a spline: {check.violations[0].describe()}"
-                )
+            violation = next(_violations(graph, entries, max(k - 1, 0)), None)
+            if violation is not None:
+                raise BasisStructureError(f"{noun} {k} is not a spline: {violation.describe()}")
     return family

@@ -250,12 +250,27 @@ def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
     path = tmp_path / "triangle.json"
     edges = [[1, 2, lab], [2, 3, lab], [3, 1, lab]]
     path.write_text(json.dumps({"graph": {"vertices": 3, "edges": edges}}))
+    # the label-product box, 10**30
     code, _, err = run(
-        capsys, "oracle", "check-basis", "--input", str(path),
+        capsys, "oracle", "check-basis", "--input", str(path), "--bound", str(10**30),
         "--candidates", f"1,1,1;0,{lab},{lab};0,0,{lab}",
     )
     assert code == 3
     assert "exceeded its budget" in err
+
+
+@pytest.mark.parametrize("first, code", [("0,2,50,200", 0), ("0,4,100,400", 1)])
+def test_oracle_check_basis_on_a_graph_searches_the_label_lcm_box(tmp_path, capsys, first, code):
+    # the 4-cycle 2,6,15,10 with its chord 1-3 and its triangulation basis,
+    # then with candidate 1 doubled; the label product 9000 ran out of states
+    path = tmp_path / "graph.json"
+    edges = [[1, 2, 2], [2, 3, 6], [3, 4, 15], [4, 1, 10], [1, 3, 5]]
+    path.write_text(json.dumps({"graph": {"vertices": 4, "edges": edges}}))
+    got, payload, _ = run_json(
+        capsys, "oracle", "check-basis", "--input", str(path), "--format", "machine",
+        "--candidates", f"1,1,1,1;{first};0,0,30,120;0,0,0,30",
+    )
+    assert (got, payload) == (code, {"ok": code == 0})
 
 
 def test_oracle_smallest_bad_k(capsys):

@@ -275,8 +275,8 @@ def test_tail_certification_verdicts_match_reference(labels, builder, data):
 @st.composite
 def run_structured_tails(draw):
     """(entries, labels): runs over a few recurring values, some entries an
-    equal but distinct copy of a big int, with run lengths that put the
-    tails on both sides of the dense threshold."""
+    equal but distinct copy of a big int, with run lengths from one entry
+    per run (every entry changes) to long runs."""
     values = draw(
         st.lists(st.sampled_from([0, 1, -1, 2, 6, 12, 10**30, 12 * 10**30]), min_size=1, max_size=3)
     )
@@ -299,21 +299,31 @@ def run_structured_tails(draw):
 @given(run_structured_tails())
 def test_tail_edge_test_matches_the_per_edge_walk(tail):
     entries, labels = tail
+    cycle = EdgeLabeledCycle(labels)
     n = len(entries)
     for start in range(1, n + 1):
-        expected = all(
-            (entries[i - 1] - entries[i % n]) % labels[i - 1] == 0 for i in range(start, n + 1)
-        )
-        assert spline_core._cycle_edges_hold(entries, labels, start) == expected
+        expected = [
+            EdgeViolation(i, i, i % n + 1, labels[i - 1], entries[i - 1], entries[i % n])
+            for i in range(start, n + 1)
+            if (entries[i - 1] - entries[i % n]) % labels[i - 1]
+        ]
+        assert list(spline_core._violations(cycle, entries, start - 1)) == expected
 
 
 def test_cycle_certification_makes_no_is_spline_call(monkeypatch):
+    cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(200)))
+    failing = list(triangulation_basis(cycle))
+    failing[7] = failing[7] + Spline((0,) * 150 + (1,) * 50)
+    first = is_spline(cycle.as_graph(), failing[7]).violations[0]
+
     def refuse(graph, labels):
         raise AssertionError("certification walked a whole candidate")
 
     monkeypatch.setattr(spline_core, "is_spline", refuse)
-    cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(200)))
     assert check_flow_up_basis(cycle, list(triangulation_basis(cycle)))
+    with pytest.raises(BasisStructureError) as info:
+        check_flow_up_basis(cycle, failing)
+    assert str(info.value) == f"candidate 7 is not a spline: {first.describe()}"
 
 
 def test_general_graph_reports_its_first_violation():
@@ -663,6 +673,39 @@ def test_basis_verdicts_match_former_enumerator(labels, data):
         )
     assert check_basis_by_definition(cycle, basis)
     assert not check_basis_by_definition(cycle, doubled)
+
+
+@st.composite
+def product_capped_graphs(draw):
+    """Graphs on two to four vertices whose label product is at most 24, so
+    that the product box can be searched in full."""
+    n = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges, product = [], 1
+    for (u, v), lab in draw(st.lists(st.tuples(pairs, st.integers(1, 6)), max_size=6)):
+        if product * lab <= 24:
+            edges.append((u, v, lab))
+            product *= lab
+    return EdgeLabeledGraph(n, tuple(edges))
+
+
+@settings(deadline=None)
+@given(product_capped_graphs(), st.data())
+def test_label_lcm_box_gives_the_label_product_verdict(graph, data):
+    # candidate k reaches the least positive entry at vertex k + 1 among the
+    # splines with k leading zeros in the product box, which holds them all
+    n = graph.vertex_count
+    product = default_budget(graph)
+    basis = [(1,) * n]
+    for k in range(1, n):
+        found = (t for t in reference_graph_splines(graph, k, product) if t[k] > 0)
+        basis.append(min(found, key=lambda t: t[k]))
+    doubled = list(basis)
+    k = data.draw(st.integers(1, n - 1))
+    doubled[k] = tuple(2 * e for e in doubled[k])
+    for candidates, verdict in ((basis, True), (doubled, False)):
+        assert reference_check_basis(graph, candidates, product) == verdict
+        assert check_basis_by_definition(graph, candidates) == verdict
 
 
 # ------------------------------------------------------ reprs at any width

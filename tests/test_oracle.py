@@ -23,6 +23,7 @@ from cyclesplines import (
     triangulation_spline,
     verify_triangulated_extension,
 )
+from cyclesplines.oracle import search_bound
 
 
 # --------------------------------------------------------------- budgets
@@ -40,6 +41,14 @@ def test_default_budget_is_label_product():
     assert default_budget(EdgeLabeledCycle((2, 5, 3))).entry_bound == 30
     graph = EdgeLabeledCycle((2, 5, 3)).as_graph()
     assert default_budget(graph).entry_bound == 30
+
+
+def test_search_bound_is_smallest_class_bound_on_cycles_and_label_lcm_on_graphs():
+    cycle = EdgeLabeledCycle((2, 6, 15, 10))
+    assert search_bound(cycle) == smallest_class_bound(cycle) == 30
+    chord = EdgeLabeledGraph(4, ((1, 2, 2), (2, 3, 6), (3, 4, 15), (4, 1, 10), (1, 3, 5)))
+    assert search_bound(chord) == 30
+    assert search_bound(EdgeLabeledGraph(2, ())) == 1
 
 
 def test_smallest_class_bound_values():
@@ -84,8 +93,11 @@ def test_budget_counts_each_walked_value():
     cycle = EdgeLabeledCycle((2, 5, 3))
     found = enumerate_flow_up_splines(cycle, 2, EnumerationBudget(15, 4))
     assert [s.entries for s in found] == [(0, 0, 0), (0, 0, 15)]
-    with pytest.raises(BudgetExceededError, match="budget of 3 states"):
+    with pytest.raises(BudgetExceededError, match="budget of 3 states") as info:
         enumerate_flow_up_splines(cycle, 2, EnumerationBudget(15, 3))
+    # the walk that crosses the limit is charged in full
+    assert str(info.value).endswith(": 4 charged, entry bound 15")
+    assert (info.value.spent, info.value.limit, info.value.entry_bound) == (4, 3, 15)
 
 
 def test_walks_past_a_machine_word_exceed_the_budget():
@@ -98,9 +110,9 @@ def test_walks_past_a_machine_word_exceed_the_budget():
     lab = 10**10
     triangle = EdgeLabeledGraph(3, ((1, 2, lab), (2, 3, lab), (3, 1, lab)))
     candidates = [(1, 1, 1), (0, lab, lab), (0, 0, lab)]
-    # the default budget of a general graph is its label product, 10**30
+    # the label-product box, 10**30
     with pytest.raises(BudgetExceededError):
-        check_basis_by_definition(triangle, candidates)
+        check_basis_by_definition(triangle, candidates, EnumerationBudget(10**30))
 
 
 def test_enumeration_k_bounds():
