@@ -167,12 +167,8 @@ class FlowUpBasis:
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """The flow-up basis whose elements are :func:`triangulation_spline` for
     k = 0..n - 1, sharing one table of chain steps."""
-    return _chain_basis(cycle, "triangulation")
-
-
-def _chain_basis(cycle: EdgeLabeledCycle, kind: str) -> FlowUpBasis:
-    least = kind == "smallest"
-    return _built_basis(cycle, kind, [_chain_element(cycle, k, least) for k in range(cycle.n)])
+    built = [_chain_element(cycle, k, False) for k in range(cycle.n)]
+    return _built_basis(cycle, "triangulation", built)
 
 
 def _built_basis(
@@ -317,4 +313,5 @@ def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
 def smallest_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """Flow-up basis whose element k is :func:`smallest_flow_up_class`, with
     the all-ones spline at index 0, sharing one table of chain steps."""
-    return _chain_basis(cycle, "smallest")
+    built = [_chain_element(cycle, k, True) for k in range(cycle.n)]
+    return _built_basis(cycle, "smallest", built)

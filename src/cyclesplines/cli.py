@@ -77,15 +77,20 @@ class _InputError(Exception):
     """Malformed command input; reported on stderr with exit code 2."""
 
 
+def _plain_int(text: str) -> int:
+    """The one integer rule, for flags and lists alike: an optional sign and
+    ASCII digits; int() alone would also take 1_0 and non-ASCII digits."""
+    text = text.strip()
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"must be a base-10 integer, got {text!r}")
+    return int(text)
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise _InputError(f"{what} must be a comma-separated list of integers, got {text!r}")
-    for p in parts:
-        # int() alone would also take 1_0 and non-ASCII digits
-        if not re.fullmatch(r"[+-]?[0-9]+", p):
-            raise _InputError(f"{what} must be base-10 integers, got {p!r}")
-    return [int(p) for p in parts]
+    try:
+        return [_plain_int(part) for part in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise _InputError(f"{what}: {exc}") from None
 
 
 def _load_target(args: argparse.Namespace) -> GraphLike:
@@ -366,9 +371,9 @@ def _add_common(parser: argparse.ArgumentParser, budget: bool = False) -> None:
         help="machine prints one JSON document on stdout",
     )
     if budget:
-        parser.add_argument("--bound", type=int, help="cap searched entries at this value")
+        parser.add_argument("--bound", type=_plain_int, help="cap searched entries at this value")
         parser.add_argument(
-            "--max-states", type=int, dest="max_states", help="abort after this many search states"
+            "--max-states", type=_plain_int, help="abort after this many search states"
         )
 
 
@@ -399,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("multiply", help="product of two basis elements, in the basis")
     _add_common(p)
     p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
-    p.add_argument("--i", type=int, required=True, help="first basis index")
-    p.add_argument("--j", type=int, required=True, help="second basis index")
+    p.add_argument("--i", type=_plain_int, required=True, help="first basis index")
+    p.add_argument("--j", type=_plain_int, required=True, help="second basis index")
     p.set_defaults(func=_cmd_multiply)
 
     p = sub.add_parser("table", help="full multiplication table")
@@ -413,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = oracle_sub.add_parser("smallest", help="smallest flow-up spline by exhaustive search")
     _add_common(q, budget=True)
-    q.add_argument("--k", type=int, required=True, help="number of leading zeros")
+    q.add_argument("--k", type=_plain_int, required=True, help="number of leading zeros")
     q.set_defaults(func=_cmd_oracle_smallest)
 
     q = oracle_sub.add_parser("check-basis", help="basis condition by enumeration")
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = oracle_sub.add_parser("extension", help="check a labeling on the chord-augmented cycle")
     _add_common(q)
-    q.add_argument("--k", type=int, required=True, help="number of leading zeros")
+    q.add_argument("--k", type=_plain_int, required=True, help="number of leading zeros")
     q.add_argument("--labels", required=True, help="comma-separated vertex labels")
     q.set_defaults(func=_cmd_oracle_extension)
 

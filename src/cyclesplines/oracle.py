@@ -4,10 +4,13 @@ Everything here certifies the closed-form constructions by direct
 enumeration, never consulting the formulas under test.  One enumerator
 serves cycles and general graphs: it fills the vertices in order, each
 walking the residue class of its largest-label edge to an earlier vertex,
-filtered by its other such edges.  For small instances only (roughly n <= 6,
-labels <= 12); every search carries an :class:`EnumerationBudget`, whose
-state limit (``--max-states``) counts the candidate values considered, and
-aborts with :class:`BudgetExceededError` rather than running away.
+filtered by its other such edges.  It is one flat loop over those walks,
+so any number of vertices fits the stack, and it yields in ascending
+lexicographic order, so the smallest spline is its first hit.  For small
+instances only (roughly n <= 6, labels <= 12); every search carries an
+:class:`EnumerationBudget`, whose state limit (``--max-states``) counts the
+candidate values considered, and aborts with :class:`BudgetExceededError`
+rather than running away.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr, _int_text
 from .numtheory import lcm
@@ -99,29 +102,6 @@ def search_bound(graph: GraphLike) -> int:
     return math.lcm(*(lab for _, _, lab in graph.edges))
 
 
-class _StateCounter:
-    """Counts candidate values considered; raises once the budget is spent."""
-
-    __slots__ = ("left", "budget")
-
-    def __init__(self, budget: EnumerationBudget) -> None:
-        self.left = budget.max_states
-        self.budget = budget
-
-    def spend(self, count: int) -> None:
-        self.left -= count
-        if self.left < 0:
-            limit, bound = self.budget.max_states, self.budget.entry_bound
-            spent = limit - self.left
-            raise BudgetExceededError(
-                f"enumeration exceeded its budget of {_int_text(limit)} states: "
-                f"{_int_text(spent)} charged, entry bound {_int_text(bound)}",
-                spent=spent,
-                limit=limit,
-                entry_bound=bound,
-            )
-
-
 def enumerate_flow_up_splines(
     cycle: EdgeLabeledCycle, k: int, budget: Optional[EnumerationBudget] = None
 ) -> list[Spline]:
@@ -151,12 +131,8 @@ def brute_force_smallest(
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     if budget is None:
         budget = EnumerationBudget(smallest_class_bound(cycle))
-    best: Optional[tuple[int, ...]] = None
-    for t in _iter_graph_splines(cycle, k, budget):
-        if 0 in t[k:]:
-            continue
-        if best is None or t < best:
-            best = t
+    # the search ascends lexicographically, so its first hit is the minimum
+    best = next((t for t in _iter_graph_splines(cycle, k, budget) if 0 not in t[k:]), None)
     if best is None:
         raise BudgetExceededError(
             f"no flow-up spline with exactly {k} leading zeros and positive "
@@ -214,35 +190,51 @@ def _iter_graph_splines(
     n = vertex_count(graph)
     if not 0 <= min_leading_zeros <= n:
         raise IndexError(f"leading zero count must be in [0, {n}], got {min_leading_zeros}")
-    if min_leading_zeros == n:
-        return iter([(0,) * n])
-    bound = budget.entry_bound
-    counter = _StateCounter(budget)
+    bound, limit, spent = budget.entry_bound, budget.max_states, 0
     plan = _lower_constraints(graph)
     acc = [0] * n
-
-    def extend(pos: int) -> Iterator[tuple[int, ...]]:
+    # each vertex's open walk, an iterator holding its next value; None if closed
+    walks: list[Optional[Iterator[int]]] = [None] * (n + 1)
+    pos = min_leading_zeros + 1
+    if pos > n:
+        yield tuple(acc)
+    while n >= pos > min_leading_zeros:
         i0, lab0, rest = plan[pos]
-        start = acc[i0] % lab0
-        # counted arithmetically: len() of a range past 2**63 - 1 values overflows
-        counter.spend((bound - start) // lab0 + 1)
-        for val in range(start, bound + 1, lab0):
+        walk = walks[pos]
+        if walk is None:
+            start = acc[i0] % lab0
+            # charged in full as the walk opens, arithmetically: len() of a
+            # range past 2**63 - 1 values overflows
+            spent += (bound - start) // lab0 + 1
+            if spent > limit:
+                raise BudgetExceededError(
+                    f"enumeration exceeded its budget of {_int_text(limit)} states: "
+                    f"{_int_text(spent)} charged, entry bound {_int_text(bound)}",
+                    spent=spent,
+                    limit=limit,
+                    entry_bound=bound,
+                )
+            walk = walks[pos] = iter(range(start, bound + 1, lab0))
+        for val in walk:
             for i, lab in rest:
                 if (val - acc[i]) % lab:
                     break
             else:
+                # val meets every lower edge: yield at the last vertex, else go deeper
                 acc[pos - 1] = val
-                if pos == n:
-                    yield tuple(acc)
-                else:
-                    yield from extend(pos + 1)
-        acc[pos - 1] = 0
-
-    return extend(min_leading_zeros + 1)
+                if pos < n:
+                    break
+                yield tuple(acc)
+        else:
+            # spent: close the walk and step back; acc[pos - 1] is rewritten before use
+            walks[pos] = None
+            pos -= 1
+            continue
+        pos += 1
 
 
 def check_basis_by_definition(
-    graph: Union[GraphLike],
+    graph: GraphLike,
     candidates: Sequence[SplineLike],
     budget: Optional[EnumerationBudget] = None,
 ) -> bool:

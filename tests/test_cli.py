@@ -2,8 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,20 @@ def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
     assert "exceeded its budget" in err
 
 
+@pytest.mark.parametrize(
+    "search", [("smallest", "--k", "1"), ("check-basis", "--kind", "triangulation")]
+)
+def test_oracle_search_depth_is_not_bounded_by_the_stack(capsys, search):
+    # one open walk per vertex: 1200 of them exceed the budget, not the
+    # interpreter's recursion limit
+    cycle = ",".join(str(i % 29 + 1) for i in range(1200))
+    code, out, err = run(
+        capsys, "oracle", search[0], "--cycle", cycle, *search[1:], "--max-states", "100000"
+    )
+    assert (code, out) == (3, "")
+    assert "enumeration exceeded its budget of 100000 states" in err
+
+
 @pytest.mark.parametrize("first, code", [("0,2,50,200", 0), ("0,4,100,400", 1)])
 def test_oracle_check_basis_on_a_graph_searches_the_label_lcm_box(tmp_path, capsys, first, code):
     # the 4-cycle 2,6,15,10 with its chord 1-3 and its triangulation basis,
@@ -387,6 +403,10 @@ def test_graph_input_rejected_for_cycle_commands(tmp_path, capsys):
         ("basis", "--cycle", "\u0662,5,3", "--kind", "triangulation"),
         ("verify", "--cycle", "2,5,3", "--labels", "0,2,1_2"),
         ("verify", "--cycle", "2,5,3", "--labels", "0,\u0662,12"),
+        # integer flags follow the same rule as lists
+        ("multiply", "--cycle", "3,4,8,2,5", "--kind", "king", "--i", "\u0661", "--j", "3"),
+        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "\u0661"),
+        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", "1_000"),
     ],
 )
 def test_malformed_input_exits_2(capsys, argv):
@@ -678,3 +698,105 @@ def test_wide_label_from_input_file(tmp_path):
     code, payload, restored = run_machine("basis", "--input", str(path), "--kind", "king")
     assert (code, restored) == (0, True)
     assert payload["basis"] == [list(e.entries) for e in king_basis(cycle)]
+
+
+# ----------------------------------------------------- hostile input fuzz
+
+# command -> its flags, with well-formed values for the 3-cycle 2,5,3
+FUZZ_COMMANDS = {
+    ("verify",): {"--labels": "0,2,12"},
+    ("basis",): {"--kind": "king"},
+    ("decompose",): {"--kind": "triangulation", "--labels": "1,3,13"},
+    ("multiply",): {"--kind": "smallest", "--i": "1", "--j": "2"},
+    ("table",): {"--kind": "king"},
+    ("oracle", "smallest"): {"--k": "1", "--bound": "15", "--max-states": "2000"},
+    ("oracle", "check-basis"): {
+        "--candidates": "1,1,1;0,2,12;0,0,15", "--bound": "15", "--max-states": "2000"
+    },
+    ("oracle", "extension"): {"--k": "1", "--labels": "0,2,12"},
+}
+FUZZ_INTS = st.one_of(
+    st.integers(-2, 6).map(str),
+    # past a machine word, and past CPython's default int <-> str limit
+    st.sampled_from([str(2**63), str(-(2**63) - 1), "9" * 4301, "-" + "9" * 4301]),
+    st.sampled_from(["", " ", "+", "1_0", "\u0661", "\uff11", "1.0", "0x1", "1e3"]),
+)
+FUZZ_LISTS = st.one_of(
+    st.lists(FUZZ_INTS, max_size=5),
+    st.lists(st.integers(-1, 20).map(str), min_size=3, max_size=3),
+).map(",".join)
+FUZZ_VALUES = {
+    "--i": FUZZ_INTS,
+    "--j": FUZZ_INTS,
+    "--k": FUZZ_INTS,
+    "--bound": FUZZ_INTS,
+    "--max-states": FUZZ_INTS,
+    "--labels": FUZZ_LISTS,
+    "--candidates": st.lists(FUZZ_LISTS, max_size=4).map(";".join),
+    "--kind": st.sampled_from(["triangulation", "king", "smallest", "royal"]),
+    "--cycle": FUZZ_LISTS,
+}
+JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.floats(),
+        st.integers(-2, 8),
+        st.sampled_from([2**63, WIDE]),
+        st.text(max_size=3),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
+    max_leaves=8,
+)
+NESTED = st.integers(1, 3000).map(lambda depth: "[" * depth + "]" * depth)
+# JSON texts: well-formed cycles, cycle and graph documents with any
+# contents, any value at all, and arrays nested past the recursion limit
+FUZZ_DOCUMENTS = st.one_of(
+    st.lists(st.integers(1, 8), min_size=3, max_size=5).map(lambda c: json.dumps({"cycle": c})),
+    JSON_VALUES.map(lambda labels: json.dumps({"cycle": labels})),
+    st.tuples(JSON_VALUES, JSON_VALUES).map(
+        lambda body: json.dumps({"graph": {"vertices": body[0], "edges": body[1]}})
+    ),
+    JSON_VALUES.map(json.dumps),
+    NESTED,
+    NESTED.map(lambda nested: '{"cycle": %s}' % nested),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(FUZZ_COMMANDS)), st.data())
+def test_hostile_argv_keeps_the_exit_code_contract(command, data):
+    flags = dict(FUZZ_COMMANDS[command])
+    # mostly the command's own flags, now and then one it does not take
+    own = st.sampled_from(sorted({*flags, "--cycle"}))
+    anything = st.sampled_from(sorted(FUZZ_VALUES))
+    hostile = data.draw(st.sets(own, max_size=2) | st.sets(anything, max_size=1))
+    if "--max-states" in hostile:
+        # a huge state limit is only safe in the small box of 2,5,3
+        hostile -= {"--bound", "--cycle"}
+    for flag in sorted(hostile):
+        flags[flag] = data.draw(FUZZ_VALUES[flag], label=flag)
+    machine = data.draw(st.booleans(), label="machine")
+    from_file = "--max-states" not in hostile and "--cycle" not in hostile and data.draw(
+        st.booleans(), label="from file"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        if from_file:
+            flags["--input"] = os.path.join(tmp, "input.json")
+            with unlimited_digits(), open(flags["--input"], "w", encoding="utf-8") as fh:
+                fh.write(data.draw(FUZZ_DOCUMENTS, label="document"))
+        else:
+            flags.setdefault("--cycle", "2,5,3")
+        # --flag=value, so that a value starting with "-" is not read as a flag
+        argv = [*command, *(f"{flag}={value}" for flag, value in flags.items())]
+        if machine:
+            argv += ["--format", "machine"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if machine and out.getvalue():
+        with unlimited_digits():
+            json.loads(out.getvalue())  # exactly one document, or this raises
+    if code in (2, 3):
+        assert err.getvalue()

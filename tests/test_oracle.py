@@ -115,6 +115,13 @@ def test_walks_past_a_machine_word_exceed_the_budget():
         check_basis_by_definition(triangle, candidates, EnumerationBudget(10**30))
 
 
+def test_long_cycle_exceeds_the_budget_not_the_stack():
+    # the first 1000 walks open within 15 769 states, one level deeper each
+    cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(1200)))
+    with pytest.raises(BudgetExceededError, match="budget of 20000 states"):
+        enumerate_flow_up_splines(cycle, 1, EnumerationBudget(110, 20_000))
+
+
 def test_enumeration_k_bounds():
     cycle = EdgeLabeledCycle((2, 5, 3))
     for bad in (0, 3):
@@ -137,6 +144,16 @@ def test_brute_force_smallest_needs_room():
     cycle = EdgeLabeledCycle((2, 5, 3))
     with pytest.raises(BudgetExceededError):
         brute_force_smallest(cycle, 1, EnumerationBudget(1))
+
+
+def test_brute_force_smallest_stops_at_its_first_hit():
+    # k = 1 on 2,5,3 in [0, 15]: vertex 2 walks 0, 2, .., 14 (8 states), then
+    # vertex 3 walks 0, 5, 10, 15 after 0 (4) and 2, 7, 12 after 2 (3), where
+    # (0, 2, 12) is the first hit; the whole search would charge far more
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    assert brute_force_smallest(cycle, 1, EnumerationBudget(15, 15)).entries == (0, 2, 12)
+    with pytest.raises(BudgetExceededError, match=": 15 charged"):
+        brute_force_smallest(cycle, 1, EnumerationBudget(15, 14))
 
 
 def test_brute_force_smallest_same_under_product_budget(rng):
