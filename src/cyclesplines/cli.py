@@ -13,14 +13,15 @@ Usage:
 Input comes from --cycle (comma-separated labels) or --input FILE, a JSON
 document with either {"cycle": [2, 5, 3]} or
 {"graph": {"vertices": 2, "edges": [[1, 2, 2]]}}.  With --format machine a
-single JSON document is written to stdout and diagnostics go to stderr.
-Numbers are plain base 10.  Note for negative entries: write
---labels=-1,-1,-1 (with the equals sign) so the value is not mistaken for a
-flag.
+single JSON document is written to stdout and diagnostics go to stderr,
+including the human report of a command that fails.  Numbers are plain base
+10.  Flags are spelled in full: an abbreviation such as --max exits 2.  Note
+for negative entries: write --labels=-1,-1,-1 (with the equals sign) so the
+value is not mistaken for a flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
-unmet), 2 malformed input, 3 search budget exceeded.  Only the oracle
-subcommands search; they take --bound and --max-states.
+unmet), 2 malformed input, 3 search budget exceeded.  Only oracle smallest
+and oracle check-basis search; they take --bound and --max-states.
 """
 
 from __future__ import annotations
@@ -77,6 +78,11 @@ class _InputError(Exception):
     """Malformed command input; reported on stderr with exit code 2."""
 
 
+class _Refusal(Exception):
+    """A domain precondition a command checks itself; its args are the lines
+    reported on stderr, with exit code 1."""
+
+
 def _plain_int(text: str) -> int:
     """The one integer rule, for flags and lists alike: an optional sign and
     ASCII digits; int() alone would also take 1_0 and non-ASCII digits."""
@@ -98,10 +104,7 @@ def _load_target(args: argparse.Namespace) -> GraphLike:
     if args.cycle is not None and args.input is not None:
         raise _InputError("give either --cycle or --input, not both")
     if args.cycle is not None:
-        try:
-            return EdgeLabeledCycle(tuple(_parse_int_list(args.cycle, "--cycle")))
-        except (ValueError, TypeError) as exc:
-            raise _InputError(str(exc)) from None
+        return _target_from_document({"cycle": _parse_int_list(args.cycle, "--cycle")})
     if args.input is not None:
         try:
             with open(args.input, encoding="utf-8") as fh:
@@ -150,11 +153,17 @@ def _require_cycle(target: GraphLike, command: str) -> EdgeLabeledCycle:
     return target
 
 
-def _parse_labels(args: argparse.Namespace, n: int) -> list[int]:
-    values = _parse_int_list(args.labels, "--labels")
+def _parse_labels(text: str, n: int) -> list[int]:
+    values = _parse_int_list(text, "--labels")
     if len(values) != n:
         raise _InputError(f"--labels needs {n} entries for this input, got {len(values)}")
     return values
+
+
+def _check_range(flags: str, lo: int, hi: int, *values: int) -> None:
+    if not all(lo <= value <= hi for value in values):
+        got = values[0] if len(values) == 1 else values
+        raise _InputError(f"{flags} must be in [{lo}, {hi}], got {got}")
 
 
 def _budget_for(args: argparse.Namespace, target: GraphLike) -> EnumerationBudget:
@@ -168,8 +177,8 @@ def _budget_for(args: argparse.Namespace, target: GraphLike) -> EnumerationBudge
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: Iterable[str]) -> None:
-    """Write the payload in machine mode, else the lines; a lazy iterable of
-    lines is never built in machine mode."""
+    """Write the payload in machine mode, else the lines; machine mode leaves a
+    lazy iterable of lines unbuilt."""
     if args.format == "machine":
         # json.dumps, unlike json.dump, runs the C encoder
         sys.stdout.write(json.dumps(payload, separators=(", ", ": ")) + "\n")
@@ -184,11 +193,17 @@ def _spline_text(entries: Sequence[int]) -> str:
 
 # ---------------------------------------------------------------- commands
 
+# what a command returns: the machine payload, the human lines and the exit
+# code; lines built lazily cost machine mode nothing unless the command fails
+_Result = tuple[dict, Iterable[str], int]
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    target = _load_target(args)
-    values = _parse_labels(args, vertex_count(target))
-    check = is_spline(target, values)
+
+def _verdict(ok: bool, held: str, failed: str) -> _Result:
+    return {"ok": ok}, [held if ok else failed], EXIT_OK if ok else EXIT_DOMAIN
+
+
+def _cmd_verify(args: argparse.Namespace, target: GraphLike) -> _Result:
+    check = is_spline(target, args.labels)
     bad = {v.edge: v for v in check.violations}
     lines = []
     for i, u, v, lab in labeled_edges(target):
@@ -197,56 +212,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         else:
             lines.append(f"ok   edge {i} (vertex {u} -- vertex {v}, label {lab})")
     lines.append("spline" if check.ok else "not a spline")
-    payload = {
-        "ok": check.ok,
-        "violations": [
-            {
-                "edge": v.edge,
-                "u": v.u,
-                "v": v.v,
-                "label": v.label,
-                "values": [v.value_u, v.value_v],
-            }
-            for v in check.violations
-        ],
-    }
-    _emit(args, payload, lines)
-    if not check.ok and args.format == "machine":
-        for v in check.violations:
-            print(v.describe(), file=sys.stderr)
-    return EXIT_OK if check.ok else EXIT_DOMAIN
+    violations = [
+        {"edge": v.edge, "u": v.u, "v": v.v, "label": v.label, "values": [v.value_u, v.value_v]}
+        for v in check.violations
+    ]
+    return {"ok": check.ok, "violations": violations}, lines, EXIT_OK if check.ok else EXIT_DOMAIN
 
 
-def _cmd_basis(args: argparse.Namespace) -> int:
-    basis = _BUILDERS[args.kind](_require_cycle(_load_target(args), "basis"))
+def _cmd_basis(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
+    basis = _BUILDERS[args.kind](cycle)
     lines = (
         f"{basis.symbol}{k}: {_spline_text(element.entries)}"
         for k, element in enumerate(basis.elements)
     )
     payload = {"kind": basis.kind, "basis": [list(element.entries) for element in basis]}
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines, EXIT_OK
 
 
-def _cmd_decompose(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "decompose")
-    values = _parse_labels(args, cycle.n)
-    check = is_spline(cycle, values)
+def _cmd_decompose(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
+    check = is_spline(cycle, args.labels)
     if not check.ok:
-        for v in check.violations:
-            print(v.describe(), file=sys.stderr)
-        print("not a spline; nothing to decompose", file=sys.stderr)
-        return EXIT_DOMAIN
+        lines = [v.describe() for v in check.violations]
+        raise _Refusal(*lines, "not a spline; nothing to decompose")
     basis = _BUILDERS[args.kind](cycle)
-    coefficients = decompose(Spline(tuple(values)), basis)
-    _emit(args, {"coefficients": list(coefficients)}, [_spline_text(coefficients)])
-    return EXIT_OK
+    coefficients = decompose(Spline(tuple(args.labels)), basis)
+    return {"coefficients": list(coefficients)}, map(_spline_text, [coefficients]), EXIT_OK
 
 
-def _cmd_multiply(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "multiply")
-    if not (0 <= args.i <= cycle.n - 1 and 0 <= args.j <= cycle.n - 1):
-        raise _InputError(f"--i and --j must be in [0, {cycle.n - 1}], got ({args.i}, {args.j})")
+def _cmd_multiply(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
+    _check_range("--i and --j", 0, cycle.n - 1, args.i, args.j)
     if args.kind == "king":
         cell = king_product(cycle, args.i, args.j)
         symbol = "K"
@@ -255,16 +249,11 @@ def _cmd_multiply(args: argparse.Namespace) -> int:
         cell = product_in_basis(basis, args.i, args.j)
         symbol = basis.symbol
     payload = {"product": {"i": cell.i, "j": cell.j, "terms": [list(t) for t in cell.terms]}}
-    _emit(
-        args,
-        payload,
-        [f"{symbol}{cell.i} * {symbol}{cell.j} = {cell.render(symbol)}"],
-    )
-    return EXIT_OK
+    lines = (f"{symbol}{c.i} * {symbol}{c.j} = {c.render(symbol)}" for c in [cell])
+    return payload, lines, EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "table")
+def _cmd_table(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
     if args.kind == "king":
         table = king_multiplication_table(cycle)
         symbol = "K"
@@ -273,13 +262,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
         try:
             table = triangulation_table_3cycle(cycle)
         except DimensionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(
+            raise _Refusal(
+                f"error: {exc}",
                 "hint: products on longer cycles are available one pair at a "
                 "time via 'multiply --kind triangulation'",
-                file=sys.stderr,
-            )
-            return EXIT_DOMAIN
+            ) from None
         symbol = "H"
         phi = dict(table[1][1].terms).get(2, 0)
         header = [f"Phi = {phi}"]
@@ -287,21 +274,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     cells = [{"i": i, "j": j, "terms": [list(t) for t in table[i][j].terms]} for i, j in pairs]
     lines = (f"{symbol}{i} * {symbol}{j} = {table[i][j].render(symbol)}" for i, j in pairs)
-    _emit(args, {"kind": args.kind, "table": cells}, chain(header, lines))
-    return EXIT_OK
+    return {"kind": args.kind, "table": cells}, chain(header, lines), EXIT_OK
 
 
-def _cmd_oracle_smallest(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "oracle smallest")
-    if not 1 <= args.k <= cycle.n - 1:
-        raise _InputError(f"--k must be in [1, {cycle.n - 1}], got {args.k}")
+def _cmd_oracle_smallest(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
+    _check_range("--k", 1, cycle.n - 1, args.k)
     result = brute_force_smallest(cycle, args.k, _budget_for(args, cycle))
-    _emit(args, {"spline": list(result.entries)}, [_spline_text(result.entries)])
-    return EXIT_OK
+    return {"spline": list(result.entries)}, map(_spline_text, [result.entries]), EXIT_OK
 
 
-def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
-    target = _load_target(args)
+def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Result:
     if args.kind is None and args.candidates is None:
         raise _InputError("give --kind to check a constructed basis or --candidates for explicit ones")
     if args.kind is not None and args.candidates is not None:
@@ -322,59 +304,76 @@ def _cmd_oracle_check_basis(args: argparse.Namespace) -> int:
                 raise _InputError(
                     f"--candidates: candidate {i} has {len(candidate)} entries, expected {n}"
                 )
-    ok = check_basis_by_definition(target, candidates, budget)
-    _emit(
-        args,
-        {"ok": ok},
-        [
-            "basis condition holds for the given candidates"
-            if ok
-            else "basis condition fails: some enumerated spline has a leading "
-            "entry that is not a multiple of the matching candidate's"
-        ],
+    return _verdict(
+        check_basis_by_definition(target, candidates, budget),
+        "basis condition holds for the given candidates",
+        "basis condition fails: some enumerated spline has a leading "
+        "entry that is not a multiple of the matching candidate's",
     )
-    return EXIT_OK if ok else EXIT_DOMAIN
 
 
-def _cmd_oracle_extension(args: argparse.Namespace) -> int:
-    cycle = _require_cycle(_load_target(args), "oracle extension")
-    values = _parse_labels(args, cycle.n)
-    if not 0 <= args.k <= cycle.n - 1:
-        raise _InputError(f"--k must be in [0, {cycle.n - 1}], got {args.k}")
-    found = leading_zeros(values)
+def _cmd_oracle_extension(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
+    _check_range("--k", 0, cycle.n - 1, args.k)
+    found = leading_zeros(args.labels)
     if found != args.k:
-        print(f"error: expected exactly {args.k} leading zeros, found {found}", file=sys.stderr)
-        return EXIT_DOMAIN
-    ok = verify_triangulated_extension(cycle, args.k, values)
-    _emit(
-        args,
-        {"ok": ok},
-        [
-            "labels satisfy every edge of the chord-augmented cycle"
-            if ok
-            else "labels violate the chord-augmented cycle"
-        ],
+        raise _Refusal(f"error: expected exactly {args.k} leading zeros, found {found}")
+    return _verdict(
+        verify_triangulated_extension(cycle, args.k, args.labels),
+        "labels satisfy every edge of the chord-augmented cycle",
+        "labels violate the chord-augmented cycle",
     )
-    return EXIT_OK if ok else EXIT_DOMAIN
 
 
 # ------------------------------------------------------------------ parser
 
+# add_argument keywords of the command flags
+_FLAGS = {
+    "--bound": {"type": _plain_int, "help": "cap searched entries at this value"},
+    "--max-states": {"type": _plain_int, "help": "abort after this many search states"},
+    "--k": {"type": _plain_int, "required": True, "help": "number of leading zeros"},
+    "--labels": {"required": True, "help": "comma-separated vertex labels"},
+    "--kind": {"choices": tuple(_BUILDERS), "required": True},
+    "--i": {"type": _plain_int, "required": True, "help": "first basis index"},
+    "--j": {"type": _plain_int, "required": True, "help": "second basis index"},
+    "--candidates": {"help": 'semicolon-separated labelings, e.g. "1,1,1;0,2,12;0,0,15"'},
+}
+# (name, command, help, flags); a command's keywords for a flag update _FLAGS's
+_COMMANDS = (
+    ("verify", _cmd_verify, "check the edge congruences of a labeling", {"--labels": {}}),
+    ("basis", _cmd_basis, "construct a flow-up basis", {"--kind": {}}),
+    ("decompose", _cmd_decompose, "write a spline in a flow-up basis",
+     {"--labels": {}, "--kind": {}}),
+    ("multiply", _cmd_multiply, "product of two basis elements, in the basis",
+     {"--kind": {}, "--i": {}, "--j": {}}),
+    ("table", _cmd_table, "full multiplication table",
+     {"--kind": {"choices": ("triangulation", "king")}}),
+)
+_ORACLE_COMMANDS = (
+    ("smallest", _cmd_oracle_smallest, "smallest flow-up spline by exhaustive search",
+     {"--bound": {}, "--max-states": {}, "--k": {}}),
+    ("check-basis", _cmd_oracle_check_basis, "basis condition by enumeration",
+     {"--bound": {}, "--max-states": {}, "--kind": {"required": False}, "--candidates": {}}),
+    ("extension", _cmd_oracle_extension, "check a labeling on the chord-augmented cycle",
+     {"--k": {}, "--labels": {}}),
+)
+# the commands that take a general graph; _run refuses one for the others
+_GRAPH_COMMANDS = (_cmd_verify, _cmd_oracle_check_basis)
 
-def _add_common(parser: argparse.ArgumentParser, budget: bool = False) -> None:
-    parser.add_argument("--cycle", help="comma-separated edge labels, e.g. 2,5,3")
-    parser.add_argument("--input", help="JSON file with a cycle or graph document")
-    parser.add_argument(
-        "--format",
-        choices=("human", "machine"),
-        default="human",
-        help="machine prints one JSON document on stdout",
-    )
-    if budget:
-        parser.add_argument("--bound", type=_plain_int, help="cap searched entries at this value")
-        parser.add_argument(
-            "--max-states", type=_plain_int, help="abort after this many search states"
+
+def _add_commands(subparsers, commands, prefix: str = "") -> None:
+    for name, func, help, flags in commands:
+        p = subparsers.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--cycle", help="comma-separated edge labels, e.g. 2,5,3")
+        p.add_argument("--input", help="JSON file with a cycle or graph document")
+        p.add_argument(
+            "--format",
+            choices=("human", "machine"),
+            default="human",
+            help="machine prints one JSON document on stdout",
         )
+        for flag, keywords in flags.items():
+            p.add_argument(flag, **{**_FLAGS[flag], **keywords})
+        p.set_defaults(func=func, needs_cycle=None if func in _GRAPH_COMMANDS else prefix + name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,60 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cyclesplines",
         description="Exact bases, decompositions, and multiplication tables "
         "for integer splines on edge-labeled cycles.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify", help="check the edge congruences of a labeling")
-    _add_common(p)
-    p.add_argument("--labels", required=True, help="comma-separated vertex labels")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("basis", help="construct a flow-up basis")
-    _add_common(p)
-    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("decompose", help="write a spline in a flow-up basis")
-    _add_common(p)
-    p.add_argument("--labels", required=True, help="comma-separated vertex labels")
-    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("multiply", help="product of two basis elements, in the basis")
-    _add_common(p)
-    p.add_argument("--kind", choices=tuple(_BUILDERS), required=True)
-    p.add_argument("--i", type=_plain_int, required=True, help="first basis index")
-    p.add_argument("--j", type=_plain_int, required=True, help="second basis index")
-    p.set_defaults(func=_cmd_multiply)
-
-    p = sub.add_parser("table", help="full multiplication table")
-    _add_common(p)
-    p.add_argument("--kind", choices=("triangulation", "king"), required=True)
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("oracle", help="exhaustive desk-scale checks")
-    oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-
-    q = oracle_sub.add_parser("smallest", help="smallest flow-up spline by exhaustive search")
-    _add_common(q, budget=True)
-    q.add_argument("--k", type=_plain_int, required=True, help="number of leading zeros")
-    q.set_defaults(func=_cmd_oracle_smallest)
-
-    q = oracle_sub.add_parser("check-basis", help="basis condition by enumeration")
-    _add_common(q, budget=True)
-    q.add_argument("--kind", choices=tuple(_BUILDERS))
-    q.add_argument(
-        "--candidates",
-        help='semicolon-separated labelings, e.g. "1,1,1;0,2,12;0,0,15"',
-    )
-    q.set_defaults(func=_cmd_oracle_check_basis)
-
-    q = oracle_sub.add_parser("extension", help="check a labeling on the chord-augmented cycle")
-    _add_common(q)
-    q.add_argument("--k", type=_plain_int, required=True, help="number of leading zeros")
-    q.add_argument("--labels", required=True, help="comma-separated vertex labels")
-    q.set_defaults(func=_cmd_oracle_extension)
-
+    _add_commands(sub, _COMMANDS)
+    oracle = sub.add_parser("oracle", help="exhaustive desk-scale checks", allow_abbrev=False)
+    oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
+    _add_commands(oracle_sub, _ORACLE_COMMANDS, "oracle ")
     return parser
 
 
@@ -453,14 +405,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(argv: Optional[Sequence[str]]) -> int:
+    """Parse, load the target, run the command, emit its output and map every
+    error to its exit code; the one place that writes to stdout or stderr."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
-    code = EXIT_OK
     try:
-        code = args.func(args)
+        target = _load_target(args)
+        if args.needs_cycle:
+            _require_cycle(target, args.needs_cycle)
+        if "labels" in args:
+            args.labels = _parse_labels(args.labels, vertex_count(target))
+        payload, lines, code = args.func(args, target)
+        _emit(args, payload, lines)
+        if code != EXIT_OK and args.format == "machine":
+            # stdout holds only the document, so the reason goes to stderr
+            for line in lines:
+                print(line, file=sys.stderr)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does; the output is
@@ -471,6 +434,9 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _Refusal as exc:
+        print(*exc.args, sep="\n", file=sys.stderr)
+        return EXIT_DOMAIN
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

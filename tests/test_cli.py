@@ -205,6 +205,9 @@ def test_machine_mode_renders_no_human_text(capsys, monkeypatch):
         ("basis", "--cycle", "3,4,8,2,5", "--kind", "king"),
         ("table", "--cycle", "3,4,8,2,5", "--kind", "king"),
         ("table", "--cycle", "2,5,3", "--kind", "triangulation"),
+        ("decompose", "--cycle", "2,5,3", "--labels", "1,3,13", "--kind", "king"),
+        ("multiply", "--cycle", "3,4,8,2,5", "--kind", "king", "--i", "1", "--j", "3"),
+        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1"),
     ]
     expected = [run(capsys, *argv, "--format", "machine") for argv in commands]
 
@@ -359,6 +362,21 @@ def test_oracle_extension_wrong_zero_count(capsys):
     assert "leading zeros" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--cycle", "2,5,3", "--labels", "0,2,13"),
+        ("oracle", "check-basis", "--cycle", "2,5,3", "--candidates", "1,1,1;0,4,24;0,0,15"),
+        ("oracle", "extension", "--cycle", "2,6,15,10", "--k", "1", "--labels", "0,2,50,201"),
+    ],
+)
+def test_failing_machine_command_writes_its_human_report_to_stderr(capsys, argv):
+    code, human, _ = run(capsys, *argv)
+    assert code == 1
+    code, out, err = run(capsys, *argv, "--format", "machine")
+    assert (code, json.loads(out)["ok"], err) == (1, False, human)
+
+
 # ----------------------------------------------------------------- input
 
 
@@ -389,30 +407,54 @@ def test_graph_input_rejected_for_cycle_commands(tmp_path, capsys):
     assert "needs a cycle" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--labels", "1,1,1"),
-        ("verify", "--cycle", "2,x,3", "--labels", "1,1,1"),
-        ("verify", "--cycle", "2,5", "--labels", "1,1"),
-        ("verify", "--cycle", "2,5,3", "--labels", "1,1"),
+MALFORMED = [
+    (("verify", "--labels", "1,1,1"), "one of --cycle or --input is required"),
+    (("verify", "--cycle", "2,x,3", "--labels", "1,1,1"), "--cycle: must be a base-10 integer"),
+    (("verify", "--cycle", "2,5", "--labels", "1,1"), "a cycle needs at least 3 edges"),
+    (("verify", "--cycle", "2,5,3", "--labels", "1,1"), "--labels needs 3 entries"),
+    (
         ("verify", "--cycle", "2,5,3", "--input", "x.json", "--labels", "1,1,1"),
+        "give either --cycle or --input, not both",
+    ),
+    (
         ("basis", "--cycle", "2,5,3", "--kind", "triangulation", "--bound", "0"),
-        # only an optional sign and ASCII digits are plain base 10
-        ("basis", "--cycle", "1_0,5,3", "--kind", "triangulation"),
-        ("basis", "--cycle", "\u0662,5,3", "--kind", "triangulation"),
-        ("verify", "--cycle", "2,5,3", "--labels", "0,2,1_2"),
-        ("verify", "--cycle", "2,5,3", "--labels", "0,\u0662,12"),
-        # integer flags follow the same rule as lists
+        "unrecognized arguments: --bound 0",
+    ),
+    # only an optional sign and ASCII digits are plain base 10
+    (("basis", "--cycle", "1_0,5,3", "--kind", "triangulation"), "got '1_0'"),
+    (("basis", "--cycle", "\u0662,5,3", "--kind", "triangulation"), "got '\u0662'"),
+    (("verify", "--cycle", "2,5,3", "--labels", "0,2,1_2"), "--labels: must be a base-10"),
+    (("verify", "--cycle", "2,5,3", "--labels", "0,\u0662,12"), "--labels: must be a base-10"),
+    # integer flags follow the same rule as lists
+    (
         ("multiply", "--cycle", "3,4,8,2,5", "--kind", "king", "--i", "\u0661", "--j", "3"),
-        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "\u0661"),
+        "argument --i: must be a base-10 integer",
+    ),
+    (("oracle", "smallest", "--cycle", "2,5,3", "--k", "\u0661"), "argument --k: must be a base-10"),
+    (
         ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", "1_000"),
-    ],
+        "argument --bound: must be a base-10 integer",
+    ),
+    # flags are spelled in full: an abbreviation is not read as --input or
+    # as --max-states
+    (
+        ("verify", "--cycle", "2,5,3", "--labels", "0,2,12", "--i", "1"),
+        "unrecognized arguments: --i 1",
+    ),
+    (
+        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max", "5"),
+        "unrecognized arguments: --max 5",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", MALFORMED, ids=[f"argv{i}" for i in range(len(MALFORMED))]
 )
-def test_malformed_input_exits_2(capsys, argv):
+def test_malformed_input_exits_2(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert err
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -605,6 +647,245 @@ def test_machine_output_has_the_bytes_of_json_dump(monkeypatch, capsys, rng):
                 assert out == json_dump_text(payloads[0])
 
 
+# ---------------------------------------------------------- pinned bytes
+
+# (argv, exit code, human stdout, human stderr, machine stdout) of every
+# command on small fixed inputs, domain failures included
+PINNED = [
+    (
+        "verify --cycle 2,5,3 --labels 0,2,12",
+        0,
+        (
+            "ok   edge 1 (vertex 1 -- vertex 2, label 2)\n"
+            "ok   edge 2 (vertex 2 -- vertex 3, label 5)\n"
+            "ok   edge 3 (vertex 3 -- vertex 1, label 3)\n"
+            "spline\n"
+        ),
+        "",
+        '{"ok": true, "violations": []}\n',
+    ),
+    (
+        "verify --cycle 2,5,3 --labels 0,2,13",
+        1,
+        (
+            "ok   edge 1 (vertex 1 -- vertex 2, label 2)\n"
+            "FAIL edge 2 (vertex 2 -- vertex 3, label 5): 2 and 13 differ by -11, not a"
+            " multiple of 5\n"
+            "FAIL edge 3 (vertex 3 -- vertex 1, label 3): 13 and 0 differ by 13, not a"
+            " multiple of 3\n"
+            "not a spline\n"
+        ),
+        "",
+        (
+            '{"ok": false, "violations": [{"edge": 2, "u": 2, "v": 3, "label": 5,'
+            ' "values": [2, 13]}, {"edge": 3, "u": 3, "v": 1, "label": 3, "values": [13,'
+            " 0]}]}\n"
+        ),
+    ),
+    (
+        "basis --cycle 2,5,3 --kind triangulation",
+        0,
+        (
+            "H0: 1,1,1\n"
+            "H1: 0,2,12\n"
+            "H2: 0,0,15\n"
+        ),
+        "",
+        '{"kind": "triangulation", "basis": [[1, 1, 1], [0, 2, 12], [0, 0, 15]]}\n',
+    ),
+    (
+        "basis --cycle 2,5,3 --kind king",
+        0,
+        (
+            "K0: 1,1,1\n"
+            "K1: 0,2,12\n"
+            "K2: 0,0,15\n"
+        ),
+        "",
+        '{"kind": "king", "basis": [[1, 1, 1], [0, 2, 12], [0, 0, 15]]}\n',
+    ),
+    (
+        "basis --cycle 2,5,3 --kind smallest",
+        0,
+        (
+            "G0: 1,1,1\n"
+            "G1: 0,2,12\n"
+            "G2: 0,0,15\n"
+        ),
+        "",
+        '{"kind": "smallest", "basis": [[1, 1, 1], [0, 2, 12], [0, 0, 15]]}\n',
+    ),
+    (
+        "basis --cycle 2,6,4 --kind king",
+        1,
+        "",
+        "error: the last two edge labels must be coprime: gcd(6, 4) = 2\n",
+        "",
+    ),
+    (
+        "decompose --cycle 2,5,3 --labels 1,3,13 --kind triangulation",
+        0,
+        "1,1,0\n",
+        "",
+        '{"coefficients": [1, 1, 0]}\n',
+    ),
+    (
+        "decompose --cycle 2,5,3 --labels 0,2,13 --kind king",
+        1,
+        "",
+        (
+            "edge 2 (vertex 2 -- vertex 3, label 5): 2 and 13 differ by -11, not a"
+            " multiple of 5\n"
+            "edge 3 (vertex 3 -- vertex 1, label 3): 13 and 0 differ by 13, not a"
+            " multiple of 3\n"
+            "not a spline; nothing to decompose\n"
+        ),
+        "",
+    ),
+    (
+        "multiply --cycle 3,4,8,2,5 --kind king --i 1 --j 3",
+        0,
+        "K1 * K3 = 3*K3 + 48*K4\n",
+        "",
+        '{"product": {"i": 1, "j": 3, "terms": [[3, 3], [4, 48]]}}\n',
+    ),
+    (
+        "multiply --cycle 2,6,15,10 --kind triangulation --i 1 --j 1",
+        0,
+        "H1 * H1 = 2*H1 + 80*H2 + 1000*H3\n",
+        "",
+        '{"product": {"i": 1, "j": 1, "terms": [[1, 2], [2, 80], [3, 1000]]}}\n',
+    ),
+    (
+        "multiply --cycle 2,5,3 --kind smallest --i 2 --j 1",
+        0,
+        "G1 * G2 = 12*G2\n",
+        "",
+        '{"product": {"i": 1, "j": 2, "terms": [[2, 12]]}}\n',
+    ),
+    (
+        "multiply --cycle 2,5,3 --kind king --i 0 --j 3",
+        2,
+        "",
+        "error: --i and --j must be in [0, 2], got (0, 3)\n",
+        "",
+    ),
+    (
+        "table --cycle 2,5,3 --kind king",
+        0,
+        (
+            "K0 * K0 = K0\n"
+            "K0 * K1 = K1\n"
+            "K0 * K2 = K2\n"
+            "K1 * K1 = 2*K1 + 8*K2\n"
+            "K1 * K2 = 12*K2\n"
+            "K2 * K2 = 15*K2\n"
+        ),
+        "",
+        (
+            '{"kind": "king", "table": [{"i": 0, "j": 0, "terms": [[0, 1]]}, {"i": 0,'
+            ' "j": 1, "terms": [[1, 1]]}, {"i": 0, "j": 2, "terms": [[2, 1]]}, {"i": 1,'
+            ' "j": 1, "terms": [[1, 2], [2, 8]]}, {"i": 1, "j": 2, "terms": [[2, 12]]},'
+            ' {"i": 2, "j": 2, "terms": [[2, 15]]}]}\n'
+        ),
+    ),
+    (
+        "table --cycle 2,5,3 --kind triangulation",
+        0,
+        (
+            "Phi = 8\n"
+            "H0 * H0 = H0\n"
+            "H0 * H1 = H1\n"
+            "H0 * H2 = H2\n"
+            "H1 * H1 = 2*H1 + 8*H2\n"
+            "H1 * H2 = 12*H2\n"
+            "H2 * H2 = 15*H2\n"
+        ),
+        "",
+        (
+            '{"kind": "triangulation", "table": [{"i": 0, "j": 0, "terms": [[0, 1]]},'
+            ' {"i": 0, "j": 1, "terms": [[1, 1]]}, {"i": 0, "j": 2, "terms": [[2, 1]]},'
+            ' {"i": 1, "j": 1, "terms": [[1, 2], [2, 8]]}, {"i": 1, "j": 2, "terms": [[2,'
+            ' 12]]}, {"i": 2, "j": 2, "terms": [[2, 15]]}]}\n'
+        ),
+    ),
+    (
+        "table --cycle 2,6,15,10 --kind triangulation",
+        1,
+        "",
+        (
+            "error: the closed-form table exists only for 3-cycles, got n = 4\n"
+            "hint: products on longer cycles are available one pair at a time via"
+            " 'multiply --kind triangulation'\n"
+        ),
+        "",
+    ),
+    (
+        "oracle smallest --cycle 2,5,3 --k 1",
+        0,
+        "0,2,12\n",
+        "",
+        '{"spline": [0, 2, 12]}\n',
+    ),
+    (
+        "oracle smallest --cycle 2,5,3 --k 1 --bound 1",
+        3,
+        "",
+        (
+            "error: no flow-up spline with exactly 1 leading zeros and positive entries"
+            " within entry bound 1\n"
+        ),
+        "",
+    ),
+    (
+        "oracle check-basis --cycle 2,5,3 --kind triangulation",
+        0,
+        "basis condition holds for the given candidates\n",
+        "",
+        '{"ok": true}\n',
+    ),
+    (
+        "oracle check-basis --cycle 2,5,3 --candidates 1,1,1;0,4,24;0,0,15",
+        1,
+        (
+            "basis condition fails: some enumerated spline has a leading entry that is"
+            " not a multiple of the matching candidate's\n"
+        ),
+        "",
+        '{"ok": false}\n',
+    ),
+    (
+        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,2,50,200",
+        0,
+        "labels satisfy every edge of the chord-augmented cycle\n",
+        "",
+        '{"ok": true}\n',
+    ),
+    (
+        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,2,50,201",
+        1,
+        "labels violate the chord-augmented cycle\n",
+        "",
+        '{"ok": false}\n',
+    ),
+    (
+        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,0,30,120",
+        1,
+        "",
+        "error: expected exactly 1 leading zeros, found 2\n",
+        "",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, human, human_err, machine", PINNED, ids=[case[0] for case in PINNED]
+)
+def test_stdout_bytes_and_exit_codes_are_pinned(capsys, argv, code, human, human_err, machine):
+    assert run(capsys, *argv.split()) == (code, human, human_err)
+    assert run(capsys, *argv.split(), "--format", "machine")[:2] == (code, machine)
+
+
 # ------------------------------------------------------- exact at any size
 
 HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")
@@ -787,8 +1068,15 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
                 fh.write(data.draw(FUZZ_DOCUMENTS, label="document"))
         else:
             flags.setdefault("--cycle", "2,5,3")
+        # now and then a strict prefix of a flag, of two letters or more so
+        # that it is no flag of its own; flags are spelled in full or refused
+        long_flags = st.sampled_from(sorted(flag for flag in flags if len(flag) > 4))
+        abbreviated = data.draw(st.sets(long_flags, max_size=1), label="abbreviated")
+        spelled = {flag: flag for flag in flags}
+        for flag in abbreviated:
+            spelled[flag] = flag[: data.draw(st.integers(4, len(flag) - 1), label="prefix")]
         # --flag=value, so that a value starting with "-" is not read as a flag
-        argv = [*command, *(f"{flag}={value}" for flag, value in flags.items())]
+        argv = [*command, *(f"{spelled[flag]}={value}" for flag, value in flags.items())]
         if machine:
             argv += ["--format", "machine"]
         out, err = io.StringIO(), io.StringIO()
@@ -798,5 +1086,9 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
     if machine and out.getvalue():
         with unlimited_digits():
             json.loads(out.getvalue())  # exactly one document, or this raises
-    if code in (2, 3):
+    if abbreviated:
+        assert code == 2
+    # every failure says why on stderr, except a human-mode exit 1 whose
+    # report is the output itself
+    if code in (2, 3) or (machine and code == 1):
         assert err.getvalue()
