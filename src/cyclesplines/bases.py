@@ -14,14 +14,13 @@ Triangulation and smallest are one chain of paired congruences with two
 representatives per step (pinned, or least positive); king has constant
 middle runs.  All three are closed forms and work at any n.
 
-The builders lay each element out run by run and hand its jumps, positions
-and values (see :attr:`FlowUpBasis._jumps`), to the basis, so an element
-costs O(n) C-level work plus O(change steps) Python work: one per chain
-step that can change an entry, and none for king.  Certifying a basis with
-:func:`check_flow_up_basis` still reads about n²/2 entries, in C, but
-reduces a congruence only where an entry changes, a few times per element.
-That test and the jump scan of a basis built from bare elements find the
-changes with one run finder, whatever their number.
+The builders find each element's jumps, the positions and values of its
+nonzero first differences, and lay its entries out from them run by run,
+so an element costs O(n) C-level work plus O(change steps) Python work:
+one per chain step that can change an entry, and none for king.  Every
+Spline carries its jumps, and certifying a basis with
+:func:`check_flow_up_basis` reads only those, so it costs O(jumps) per
+element, a few each, whatever n is.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import KingPreconditionError, _dataclass_repr, _int_text
@@ -38,16 +36,13 @@ from .spline_core import (
     Spline,
     SplineLike,
     _check_flow_up_family,
-    _run_starts,
-    _trusted_spline,
+    _spline_from_jumps,
     trivial_spline,
 )
 
 BASIS_KINDS = ("triangulation", "king", "smallest", "custom")
 
 _SYMBOLS = {"triangulation": "H", "king": "K", "smallest": "G", "custom": "G"}
-# (positions, values) of an element's nonzero first differences
-_Jumps = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def smallest_leading_entry(cycle: EdgeLabeledCycle, k: int) -> int:
@@ -81,33 +76,31 @@ def triangulation_spline(cycle: EdgeLabeledCycle, k: int) -> Spline:
     n = cycle.n
     if not 0 <= k <= n - 1:
         raise IndexError(f"k must be in [0, {n - 1}], got {k}")
-    return _chain_element(cycle, k, least=False)[0]
+    return _chain_element(cycle, k, least=False)
 
 
-def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> tuple[Spline, _Jumps]:
-    """Element k of the chain and its jumps: the pinned representative of
-    each step, or with ``least`` the least positive one.  Its leading entry
-    is m_k, the lcm of the step into position k + 1.
+def _chain_element(cycle: EdgeLabeledCycle, k: int, least: bool) -> Spline:
+    """Element k of the chain: the pinned representative of each step, or
+    with ``least`` the least positive one.  Its leading entry is m_k, the
+    lcm of the step into position k + 1.
 
     Only the steps in ``cycle._chain_changes`` are walked; every other step
-    keeps the entry, so the element is one run per recorded position."""
+    keeps the entry, so the element has one jump per recorded position."""
     n = cycle.n
     if k == 0:
-        return trivial_spline(n), ((0,), (1,))
+        return trivial_spline(n)
     changes = cycle._chain_changes[least]
     h = cycle._chain_steps[k - 1][1]
-    entries, positions, values = [0] * k, [k], [h]
+    positions, values = [k], [h]
     # (k + 1,) sorts before every step (k + 1, mult, period) into position k + 1
     for p, mult, period in changes[bisect_left(changes, (k + 1,)) :]:
         # h > 0, so h * mult is 0 exactly when mult is, and then period == b
         new = (h * mult % period if least else h * mult) or period
         if new != h:
-            entries += [h] * (p - len(entries))
             positions.append(p)
             values.append(new - h)
             h = new
-    entries += [h] * (n - len(entries))
-    return _trusted_spline(tuple(entries)), (tuple(positions), tuple(values))
+    return _spline_from_jumps(n, tuple(positions), tuple(values))
 
 
 @dataclass(frozen=True)
@@ -115,10 +108,11 @@ class FlowUpBasis:
     """An indexed family of flow-up splines on a cycle, element k having
     exactly k leading zeros.
 
-    Besides the elements, a basis keeps one table of their jumps (see
-    :attr:`_jumps`).  The library's builders hand over each element's jump
-    positions and values as they build it; a basis built from bare elements
-    scans all of them once, on first use, at O(n) per element.
+    Besides the elements, a basis keeps ``_jumps``, the tuple of their
+    jumps: slot k holds the (positions, values) of the nonzero first
+    differences of element k, in ascending position order, the first being
+    (k, leading entry).  It is read off the elements, which carry their
+    jumps, so the two cannot disagree.
     """
 
     cycle: EdgeLabeledCycle
@@ -131,6 +125,7 @@ class FlowUpBasis:
             raise ValueError(f"kind must be one of {BASIS_KINDS}, got {self.kind!r}")
         elements = _check_flow_up_family(self.elements, self.cycle.n, "element")
         object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "_jumps", tuple(e._jumps for e in elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -149,37 +144,12 @@ class FlowUpBasis:
     def leading_entries(self) -> tuple[int, ...]:
         return tuple(el.entries[k] for k, el in enumerate(self.elements))
 
-    @cached_property
-    def _jumps(self) -> tuple[_Jumps, ...]:
-        """Slot k holds the (positions, values) of the nonzero first
-        differences of element k, in ascending position order.  The first
-        is (k, leading entry); king and triangulation elements are runs of
-        equal entries, so there are few."""
-        jumps = []
-        for k, element in enumerate(self.elements):
-            e = element.entries
-            # e is zero before position k, so its first jump is the leading entry
-            runs = list(_run_starts(e, k))
-            jumps.append(((k, *[p for p, _, _ in runs]), (e[k], *[v - u for _, u, v in runs])))
-        return tuple(jumps)
-
 
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """The flow-up basis whose elements are :func:`triangulation_spline` for
     k = 0..n - 1, sharing one table of chain steps."""
-    built = [_chain_element(cycle, k, False) for k in range(cycle.n)]
-    return _built_basis(cycle, "triangulation", built)
-
-
-def _built_basis(
-    cycle: EdgeLabeledCycle, kind: str, built: Sequence[tuple[Spline, _Jumps]]
-) -> FlowUpBasis:
-    """The basis of the built (element, jumps) pairs, keeping the jumps."""
-    elements, jumps = zip(*built)
-    basis = FlowUpBasis(cycle, elements, kind)
-    # seeds the cached property, so that it never scans
-    object.__setattr__(basis, "_jumps", jumps)
-    return basis
+    elements = [_chain_element(cycle, k, False) for k in range(cycle.n)]
+    return FlowUpBasis(cycle, tuple(elements), "triangulation")
 
 
 def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
@@ -196,15 +166,16 @@ def king_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """
     n = cycle.n
     a, b, inv = _king_tail(cycle)
-    # element i jumps by l_i at i, and by k_i - l_i at n - 1 unless k_i == l_i
-    last = b * inv != 1
-    built = [(trivial_spline(n), ((0,), (1,)))]
-    for i, li in enumerate(cycle.labels[: n - 2], start=1):
-        ki = li * b * inv
-        element = _trusted_spline((0,) * i + (li,) * (n - 1 - i) + (ki,))
-        built.append((element, ((i, n - 1), (li, ki - li)) if last else ((i,), (li,))))
-    built.append((_trusted_spline((0,) * (n - 1) + (a * b,)), ((n - 1,), (a * b,))))
-    return _built_basis(cycle, "king", built)
+    # element i jumps by l_i at i, and by k_i - l_i = l_i * d at n - 1
+    # unless d == 0
+    d = b * inv - 1
+    last = n - 1
+    middle = [
+        _spline_from_jumps(n, (i, last), (li, li * d)) if d else _spline_from_jumps(n, (i,), (li,))
+        for i, li in enumerate(cycle.labels[: n - 2], start=1)
+    ]
+    elements = (trivial_spline(n), *middle, _spline_from_jumps(n, (last,), (a * b,)))
+    return FlowUpBasis(cycle, elements, "king")
 
 
 def _king_tail(cycle: EdgeLabeledCycle) -> tuple[int, int, int]:
@@ -259,24 +230,25 @@ def check_flow_up_basis(
     the all-ones spline up to sign and, for every k >= 1, candidate k's
     leading entry is plus or minus m_k, read from the cycle's chain steps.
 
-    Candidate k's congruences are tested on edges k..n only (all edges for
-    candidate 0): edges 1..k-1 join two of its k leading zeros, which the
-    shape check has just confirmed, so they hold.  A basis thus reads about
-    n²/2 entries, in C, and reduces a congruence only where an entry
-    changes; a failing candidate is reported by its first violated edge,
-    found in that same pass.
+    Every check reads the candidates' jumps (see :class:`Spline`): a
+    candidate's leading-zero count is its first jump position, edge p < n
+    holds exactly when the jump at position p is divisible by label p, and
+    candidate 0 is all ones up to sign exactly when its one jump is +-1.
+    Only the wrap edge reads two entries, so a candidate costs O(jumps),
+    whatever n is.  A failing candidate is reported by its first violated
+    edge.
     """
     n = cycle.n
     cands = _check_flow_up_family(candidates, n, "candidate", cycle)
     defects = []
-    first = cands[0].entries
-    if not (all(e == 1 for e in first) or all(e == -1 for e in first)):
+    values = cands[0]._jumps[1]
+    if len(values) != 1 or abs(values[0]) != 1:
         defects.append(
             BasisDefect(
                 0,
                 "must be the all-ones spline up to sign",
                 expected=1,
-                actual=first[0],
+                actual=cands[0].entries[0],
             )
         )
     for k, (_, want) in enumerate(cycle._chain_steps, start=1):
@@ -307,11 +279,11 @@ def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
     n = cycle.n
     if not 1 <= k <= n - 1:
         raise IndexError(f"k must be in [1, {n - 1}], got {k}")
-    return _chain_element(cycle, k, least=True)[0]
+    return _chain_element(cycle, k, least=True)
 
 
 def smallest_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
     """Flow-up basis whose element k is :func:`smallest_flow_up_class`, with
     the all-ones spline at index 0, sharing one table of chain steps."""
-    built = [_chain_element(cycle, k, True) for k in range(cycle.n)]
-    return _built_basis(cycle, "smallest", built)
+    elements = [_chain_element(cycle, k, True) for k in range(cycle.n)]
+    return FlowUpBasis(cycle, tuple(elements), "smallest")

@@ -32,7 +32,6 @@ from .spline_core import (
     is_spline,
     labeled_edges,
     leading_zeros,
-    spline_entries,
     vertex_count,
 )
 
@@ -162,11 +161,10 @@ def verify_triangulated_extension(cycle: EdgeLabeledCycle, k: int, h: SplineLike
     ``h`` must have exactly k leading zeros; that is a precondition on the
     caller, not part of the verdict.
     """
-    entries = spline_entries(h)
-    found = leading_zeros(entries)
+    found = leading_zeros(h)
     if found != k:
         raise ValueError(f"expected exactly {k} leading zeros, found {found}")
-    return bool(is_spline(triangulated_graph(cycle), entries))
+    return bool(is_spline(triangulated_graph(cycle), h))
 
 
 def _lower_constraints(graph: GraphLike) -> list[tuple[int, int, list[tuple[int, int]]]]:

@@ -5,10 +5,12 @@ at position k + 1 among elements k..n - 1, coefficients can be peeled off
 front to back by exact division (forward substitution).  Peeling and
 combining work on first differences: king elements are constant runs and
 triangulation entries repeat wherever the chain multiplier is 1, so each
-element has few nonzero differences ("jumps").  The one peel keeps only
-the nonzero differences, by position, so a step costs one per jump and
-never one per position: a product of two elements, which differs only at
-their jumps, costs O(jumps) whatever n is, and a table n² times that.
+element has few nonzero differences ("jumps").  Every Spline carries its
+jumps and a basis keeps its elements' in ``FlowUpBasis._jumps``, so
+nothing here scans entries for them.  The one peel keeps only the nonzero
+differences, by position, so a step costs one per jump and never one per
+position: a product of two elements, which differs only at their jumps,
+costs O(jumps) whatever n is, and a table n² times that.
 On top of that this module provides the closed-form products of king
 basis elements, the closed-form three-cycle table in the triangulation
 basis, and a generic product path (componentwise multiply, then
@@ -18,7 +20,6 @@ check each cell once, against the peel of the componentwise product.
 
 from __future__ import annotations
 
-import operator
 from bisect import insort
 from dataclasses import dataclass
 from itertools import accumulate, compress
@@ -26,29 +27,26 @@ from typing import Callable, Sequence
 
 from .bases import FlowUpBasis, _king_tail, king_basis, triangulation_basis
 from .errors import DimensionError, InvariantViolationError, NotInSpanError, _dataclass_repr, _int_text
-from .spline_core import Spline, SplineLike, spline_entries
+from .spline_core import Spline, SplineLike, _as_spline
 
 
 def decompose(s: SplineLike, basis: FlowUpBasis) -> tuple[int, ...]:
     """Coefficients c with s equal to the sum of c[k] * basis[k].
 
-    Takes the first differences of s in one C-level pass over the n
-    positions and peels on the nonzero ones (see :func:`_peel`), at
-    O(jumps) per nonzero coefficient.
+    Peels on the jumps that s carries (see :func:`_peel`), at O(jumps)
+    per nonzero coefficient.
 
     Raises :class:`NotInSpanError` when a peeling step hits a non-integer
     quotient.  A vector that fails the edge congruences always does: every
     integer combination of basis elements satisfies them, and step k leaves
     position k zero for good, so no remainder survives the last step.
     """
-    entries = spline_entries(s)
+    spline = _as_spline(s)
     n = len(basis)
-    if len(entries) != n:
-        raise DimensionError(f"expected {n} entries, got {len(entries)}")
+    if len(spline) != n:
+        raise DimensionError(f"expected {n} entries, got {len(spline)}")
     coefficients = [0] * n
-    # entries[p] - entries[p - 1] at every position, entries[-1] read as 0
-    differences = list(map(operator.sub, entries, (0, *entries)))
-    for k, c in _peel(dict(compress(enumerate(differences), differences)), basis):
+    for k, c in _peel(dict(zip(*spline._jumps)), basis):
         coefficients[k] = c
     return tuple(coefficients)
 

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, compress
 from typing import Iterator, Sequence, Union
 
 from .errors import BasisStructureError, DimensionError, _dataclass_repr, _int_text
@@ -153,20 +153,36 @@ class EdgeLabeledGraph:
         return math.prod(lab for _, _, lab in self.edges)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Spline:
     """Integer vertex labels in tuple order (g_1, ..., g_n).
 
     Operators: ``+`` and ``-`` are vertex-wise, ``*`` is scalar
     multiplication when the other operand is an int and vertex-wise
     (pointwise) multiplication when it is another Spline.
+
+    Every Spline also carries its jumps in a private slot, ``_jumps``: the
+    (positions, values) of its nonzero first differences in ascending
+    position order, entry -1 read as 0.  They are derived from the entries
+    and take no part in the repr, equality, hashing or pickling.
     """
 
+    __slots__ = ("entries", "_jumps")
     entries: tuple[int, ...]
     __repr__ = _dataclass_repr
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", _as_int_tuple(self.entries, "spline entries"))
+        self.__setstate__([_as_int_tuple(self.entries, "spline entries")])
+
+    # pickles hold the entries alone, in the state slots=True wrote; every
+    # construction but the builders' fills both slots here
+    def __getstate__(self) -> list:
+        return [self.entries]
+
+    def __setstate__(self, state: list) -> None:
+        (entries,) = state
+        _set_entries(self, entries)
+        _set_jumps(self, _jumps_of(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -211,11 +227,40 @@ class Spline:
     __rmul__ = __mul__
 
 
+def _jumps_of(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (positions, values) of the nonzero first differences of
+    ``entries``, entry -1 read as 0, in one C-level pass."""
+    differences = tuple(map(operator.sub, entries, (0, *entries)))
+    return tuple(compress(range(len(differences)), differences)), tuple(filter(None, differences))
+
+
+# the slots' own setters, which the frozen __setattr__ does not guard
+_set_entries = Spline.entries.__set__
+_set_jumps = Spline._jumps.__set__
+
+
 def _trusted_spline(entries: tuple[int, ...]) -> Spline:
     """A Spline over a tuple of ints the library built itself, without
     re-validating every entry."""
     spline = object.__new__(Spline)
-    object.__setattr__(spline, "entries", entries)
+    spline.__setstate__([entries])
+    return spline
+
+
+def _spline_from_jumps(n: int, positions: tuple[int, ...], values: tuple[int, ...]) -> Spline:
+    """The Spline with n entries whose jumps are (positions, values), laid
+    out run by run: O(n) C-level work and O(jumps) Python steps."""
+    jumps = zip(positions, values)
+    start, h = next(jumps, (n, 0))
+    entries = [0] * start
+    for p, v in jumps:
+        entries += [h] * (p - start)
+        h += v
+        start = p
+    entries += [h] * (n - start)
+    spline = object.__new__(Spline)
+    _set_entries(spline, tuple(entries))
+    _set_jumps(spline, (positions, values))
     return spline
 
 
@@ -236,6 +281,11 @@ def vertex_count(graph: GraphLike) -> int:
 
 def spline_entries(labels: SplineLike) -> tuple[int, ...]:
     return labels.entries if isinstance(labels, Spline) else _as_int_tuple(labels, "vertex labels")
+
+
+def _as_spline(labels: SplineLike) -> Spline:
+    """``labels`` itself if it is a Spline, else a Spline of its entries."""
+    return labels if isinstance(labels, Spline) else _trusted_spline(_as_int_tuple(labels, "vertex labels"))
 
 
 @dataclass(frozen=True)
@@ -271,36 +321,22 @@ class SplineCheck:
         return self.ok
 
 
-def _run_starts(entries: tuple[int, ...], start: int) -> Iterator[tuple[int, int, int]]:
-    """(p, previous, value) at each 0-based position p > start where the
-    entry changes, value = entries[p] != previous = entries[p - 1], in
-    ascending order.
-
-    One ``groupby`` pass, in C, reads the run values of ``entries[start:]``.
-    The run before value v's holds only values other than v, so the first v
-    after that run's start is where v's run begins, even if v recurs later,
-    and ``entries.index`` finds it in C too.
-    """
-    values = [value for value, _ in groupby(entries[start:])]
-    p = start
-    positions = [p := entries.index(value, p + 1) for value in values[1:]]
-    return zip(positions, values, values[1:])
-
-
-def _violations(graph: GraphLike, entries: tuple[int, ...], skip: int = 0) -> Iterator[EdgeViolation]:
+def _violations(graph: GraphLike, spline: SplineLike, skip: int = 0) -> Iterator[EdgeViolation]:
     """Yield the edges whose congruence fails, in edge order.
 
-    On a cycle the first ``skip`` edges are taken to hold.  Edge i < n joins
-    vertices i and i + 1 and holds inside a run of equal entries, so it is
-    reduced only where :func:`_run_starts` finds a change; edge n wraps from
-    vertex n to vertex 1 and is reduced last.  A general graph has every
-    edge reduced.
+    On a cycle the first ``skip`` edges are taken to hold.  Edge p < n joins
+    vertices p and p + 1, so it holds exactly when the jump at 0-based
+    position p, if any, is divisible by its label: only the jumps are read,
+    and the two entries of a failing edge.  Edge n wraps from vertex n to
+    vertex 1 and is reduced last.  A general graph has every edge reduced.
     """
+    spline = _as_spline(spline)
+    entries = spline.entries
     if isinstance(graph, EdgeLabeledCycle):
         labels = graph.labels
-        for p, u, v in _run_starts(entries, skip):
-            if (u - v) % labels[p - 1]:
-                yield EdgeViolation(p, p, p + 1, labels[p - 1], u, v)
+        for p, jump in zip(*spline._jumps):
+            if p > skip and jump % labels[p - 1]:
+                yield EdgeViolation(p, p, p + 1, labels[p - 1], entries[p - 1], entries[p])
         n = len(entries)
         if (entries[n - 1] - entries[0]) % labels[n - 1]:
             yield EdgeViolation(n, n, 1, labels[n - 1], entries[n - 1], entries[0])
@@ -312,11 +348,11 @@ def _violations(graph: GraphLike, entries: tuple[int, ...], skip: int = 0) -> It
 
 def is_spline(graph: GraphLike, labels: SplineLike) -> SplineCheck:
     """Check every edge congruence, collecting violations instead of failing fast."""
-    entries = spline_entries(labels)
+    spline = _as_spline(labels)
     n = vertex_count(graph)
-    if len(entries) != n:
-        raise DimensionError(f"expected {n} vertex labels, got {len(entries)}")
-    violations = tuple(_violations(graph, entries))
+    if len(spline) != n:
+        raise DimensionError(f"expected {n} vertex labels, got {len(spline)}")
+    violations = tuple(_violations(graph, spline))
     return SplineCheck(not violations, violations)
 
 
@@ -324,7 +360,7 @@ def trivial_spline(n: int) -> Spline:
     """The all-ones labeling, a spline on every cycle with n vertices."""
     if n < 3:
         raise ValueError(f"cycles have at least 3 vertices, got {n}")
-    return _trusted_spline((1,) * n)
+    return _spline_from_jumps(n, (0,), (1,))
 
 
 def add(a: Spline, b: Spline) -> Spline:
@@ -344,12 +380,9 @@ def pointwise_mul(a: Spline, b: Spline) -> Spline:
 
 def leading_zeros(s: SplineLike) -> int:
     """Number of zero entries before the first nonzero one (n for the zero spline)."""
-    count = 0
-    for g in spline_entries(s):
-        if g != 0:
-            break
-        count += 1
-    return count
+    spline = _as_spline(s)
+    positions = spline._jumps[0]
+    return positions[0] if positions else len(spline)
 
 
 def _check_flow_up_family(
@@ -359,32 +392,27 @@ def _check_flow_up_family(
     first ``noun`` that breaks the flow-up shape: n members of n entries, member
     k with exactly k leading zeros and, given a graph, a spline on it.
 
-    On a cycle, member k's congruences are tested on edges k..n only (edges
-    1..n for member 0): once its first k entries are known to be zero, each
-    of edges 1..k-1 joins two zero vertices and holds.  Edge k joins the
-    zero at vertex k to vertex k + 1, and edge n wraps from vertex n to the
-    zero at vertex 1, so both are still tested.  One pass over the tail
-    reduces only the edges where an entry changes and stops at the first
-    violation, which the message names (see :func:`_violations`).  General
-    graphs are checked on every edge.
+    Member k's leading-zero count is its first jump position.  On a cycle,
+    its congruences are tested on edges k..n only (edges 1..n for member
+    0): each of edges 1..k-1 joins two of its leading zeros and holds.  Edge
+    k is tested at the leading jump and edge n by its two end entries, and
+    only the jumps are read, stopping at the first violation, which the
+    message names (see :func:`_violations`).  So a member costs O(jumps),
+    whatever n is.  General graphs are checked on every edge.
     """
-    family = tuple(
-        m if isinstance(m, Spline) else _trusted_spline(_as_int_tuple(m, "vertex labels"))
-        for m in members
-    )
+    family = tuple(map(_as_spline, members))
     if len(family) != n:
         raise BasisStructureError(f"expected {n} {noun}s, got {len(family)}")
     for k, member in enumerate(family):
-        entries = member.entries
-        if len(entries) != n:
-            raise BasisStructureError(f"{noun} {k} has {len(entries)} entries, expected {n}")
-        if entries[:k].count(0) != k or entries[k] == 0:
+        if len(member.entries) != n:
+            raise BasisStructureError(f"{noun} {k} has {len(member.entries)} entries, expected {n}")
+        positions = member._jumps[0]
+        if not positions or positions[0] != k:
             raise BasisStructureError(
-                f"{noun} {k} must have exactly {k} leading zeros, "
-                f"found {leading_zeros(entries)}"
+                f"{noun} {k} must have exactly {k} leading zeros, found {leading_zeros(member)}"
             )
         if graph is not None:
-            violation = next(_violations(graph, entries, max(k - 1, 0)), None)
+            violation = next(_violations(graph, member, max(k - 1, 0)), None)
             if violation is not None:
                 raise BasisStructureError(f"{noun} {k} is not a spline: {violation.describe()}")
     return family

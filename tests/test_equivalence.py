@@ -5,9 +5,11 @@ the library's shared step table, trusted constructors or vectorized checks
 cannot move both sides at once.
 """
 
+import copy
 import dataclasses
 import functools
 import math
+import pickle
 import sys
 from itertools import accumulate, islice
 
@@ -61,6 +63,7 @@ from cyclesplines import (
     triangulated_graph,
     triangulation_basis,
     triangulation_spline,
+    trivial_spline,
 )
 from cyclesplines import ring_algebra, spline_core
 from cyclesplines.oracle import _iter_graph_splines
@@ -308,6 +311,7 @@ def test_tail_edge_test_matches_the_per_edge_walk(tail):
             if (entries[i - 1] - entries[i % n]) % labels[i - 1]
         ]
         assert list(spline_core._violations(cycle, entries, start - 1)) == expected
+        assert list(spline_core._violations(cycle, Spline(entries), start - 1)) == expected
 
 
 def test_cycle_certification_makes_no_is_spline_call(monkeypatch):
@@ -592,11 +596,53 @@ def test_builders_hand_over_the_jumps_of_the_per_entry_elements(labels):
         basis = build(king_cycle if kind == "king" else cycle)
         for k, element in enumerate(basis):
             assert element.entries == expected[kind](k)
-        # the handed-over jumps are what a bare basis finds by scanning
-        assert basis._jumps == FlowUpBasis(basis.cycle, basis.elements)._jumps
+        # the builders' jumps are what a basis of bare elements finds by scanning
+        assert basis._jumps == FlowUpBasis(basis.cycle, [Spline(e.entries) for e in basis])._jumps
     for k in range(1, cycle.n):
         assert triangulation_spline(cycle, k).entries == expected["triangulation"](k)
         assert smallest_flow_up_class(cycle, k).entries == expected["smallest"](k)
+
+
+def reference_jumps(entries):
+    """(positions, values) at each position p where entries[p] differs from
+    entries[p - 1], or from 0 at p = 0, one entry at a time."""
+    positions, values = [], []
+    previous = 0
+    for p, entry in enumerate(entries):
+        if entry != previous:
+            positions.append(p)
+            values.append(entry - previous)
+        previous = entry
+    return tuple(positions), tuple(values)
+
+
+@st.composite
+def entry_pairs(draw):
+    """Two entry vectors of one length, drawn from a few values up to 10**40
+    and 0, so that runs of equal entries are common."""
+    pool = draw(st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=3)) + [0]
+    n = draw(st.integers(3, 30))
+    vector = st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+    return draw(vector), draw(vector)
+
+
+@given(entry_pairs(), st.integers(-(10**40), 10**40), jump_labels)
+def test_every_spline_carries_the_jumps_of_its_entries(pair, c, labels):
+    a, b = Spline(tuple(pair[0])), Spline(pair[1])
+    splines = [a, b, a + b, a - b, -a, a * c, c * a, a * b, trivial_spline(len(a))]
+    cycle = EdgeLabeledCycle(tuple(labels))
+    king_cycle = cycle if math.gcd(*labels[-2:]) == 1 else EdgeLabeledCycle((*labels[:-1], 1))
+    for kind, build in BUILDERS.items():
+        splines += build(king_cycle if kind == "king" else cycle)
+    built = splines[-1]
+    splines += [
+        pickle.loads(pickle.dumps(built)),
+        copy.deepcopy(built),
+        copy.copy(built),
+        dataclasses.replace(built),
+    ]
+    for spline in splines:
+        assert spline._jumps == reference_jumps(spline.entries)
 
 
 # --------------------------------------- one enumerator vs the former two
