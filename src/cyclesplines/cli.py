@@ -21,7 +21,8 @@ value is not mistaken for a flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
 unmet), 2 malformed input, 3 search budget exceeded.  Only oracle smallest
-and oracle check-basis search; they take --bound and --max-states.
+and oracle check-basis search, in the box the labels prove holds the
+answer; --max-states caps each search.
 """
 
 from __future__ import annotations
@@ -37,10 +38,8 @@ from .bases import king_basis, smallest_basis, triangulation_basis
 from .errors import BudgetExceededError, CycleSplinesError, DimensionError
 from .oracle import (
     DEFAULT_MAX_STATES,
-    EnumerationBudget,
     brute_force_smallest,
     check_basis_by_definition,
-    search_bound,
     verify_triangulated_extension,
 )
 from .ring_algebra import (
@@ -166,14 +165,10 @@ def _check_range(flags: str, lo: int, hi: int, *values: int) -> None:
         raise _InputError(f"{flags} must be in [{lo}, {hi}], got {got}")
 
 
-def _budget_for(args: argparse.Namespace, target: GraphLike) -> EnumerationBudget:
-    bound = search_bound(target) if args.bound is None else args.bound
-    states = DEFAULT_MAX_STATES if args.max_states is None else args.max_states
-    if bound < 1:
-        raise _InputError(f"--bound must be positive, got {bound}")
-    if states < 1:
-        raise _InputError(f"--max-states must be positive, got {states}")
-    return EnumerationBudget(bound, states)
+def _max_states(args: argparse.Namespace) -> int:
+    if args.max_states < 1:
+        raise _InputError(f"--max-states must be positive, got {args.max_states}")
+    return args.max_states
 
 
 def _emit(args: argparse.Namespace, payload: dict, human_lines: Iterable[str]) -> None:
@@ -225,7 +220,7 @@ def _cmd_basis(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
         f"{basis.symbol}{k}: {_spline_text(element.entries)}"
         for k, element in enumerate(basis.elements)
     )
-    payload = {"kind": basis.kind, "basis": [list(element.entries) for element in basis]}
+    payload = {"kind": basis.kind, "basis": [element.entries for element in basis]}
     return payload, lines, EXIT_OK
 
 
@@ -236,7 +231,7 @@ def _cmd_decompose(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result
         raise _Refusal(*lines, "not a spline; nothing to decompose")
     basis = _BUILDERS[args.kind](cycle)
     coefficients = decompose(Spline(tuple(args.labels)), basis)
-    return {"coefficients": list(coefficients)}, map(_spline_text, [coefficients]), EXIT_OK
+    return {"coefficients": coefficients}, map(_spline_text, [coefficients]), EXIT_OK
 
 
 def _cmd_multiply(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
@@ -248,7 +243,7 @@ def _cmd_multiply(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
         basis = _BUILDERS[args.kind](cycle)
         cell = product_in_basis(basis, args.i, args.j)
         symbol = basis.symbol
-    payload = {"product": {"i": cell.i, "j": cell.j, "terms": [list(t) for t in cell.terms]}}
+    payload = {"product": {"i": cell.i, "j": cell.j, "terms": cell.terms}}
     lines = (f"{symbol}{c.i} * {symbol}{c.j} = {c.render(symbol)}" for c in [cell])
     return payload, lines, EXIT_OK
 
@@ -272,15 +267,15 @@ def _cmd_table(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
         header = [f"Phi = {phi}"]
     n = len(table)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    cells = [{"i": i, "j": j, "terms": [list(t) for t in table[i][j].terms]} for i, j in pairs]
+    cells = [{"i": i, "j": j, "terms": table[i][j].terms} for i, j in pairs]
     lines = (f"{symbol}{i} * {symbol}{j} = {table[i][j].render(symbol)}" for i, j in pairs)
     return {"kind": args.kind, "table": cells}, chain(header, lines), EXIT_OK
 
 
 def _cmd_oracle_smallest(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
     _check_range("--k", 1, cycle.n - 1, args.k)
-    result = brute_force_smallest(cycle, args.k, _budget_for(args, cycle))
-    return {"spline": list(result.entries)}, map(_spline_text, [result.entries]), EXIT_OK
+    result = brute_force_smallest(cycle, args.k, _max_states(args))
+    return {"spline": result.entries}, map(_spline_text, [result.entries]), EXIT_OK
 
 
 def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Result:
@@ -288,7 +283,7 @@ def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Res
         raise _InputError("give --kind to check a constructed basis or --candidates for explicit ones")
     if args.kind is not None and args.candidates is not None:
         raise _InputError("give either --kind or --candidates, not both")
-    budget = _budget_for(args, target)  # malformed flags exit 2 before any work
+    max_states = _max_states(args)  # malformed flags exit 2 before any work
     if args.kind is not None:
         cycle = _require_cycle(target, "oracle check-basis --kind")
         candidates = list(_BUILDERS[args.kind](cycle).elements)
@@ -305,7 +300,7 @@ def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Res
                     f"--candidates: candidate {i} has {len(candidate)} entries, expected {n}"
                 )
     return _verdict(
-        check_basis_by_definition(target, candidates, budget),
+        check_basis_by_definition(target, candidates, max_states),
         "basis condition holds for the given candidates",
         "basis condition fails: some enumerated spline has a leading "
         "entry that is not a multiple of the matching candidate's",
@@ -328,8 +323,8 @@ def _cmd_oracle_extension(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> 
 
 # add_argument keywords of the command flags
 _FLAGS = {
-    "--bound": {"type": _plain_int, "help": "cap searched entries at this value"},
-    "--max-states": {"type": _plain_int, "help": "abort after this many search states"},
+    "--max-states": {"type": _plain_int, "default": DEFAULT_MAX_STATES,
+                     "help": "abort a search after this many states"},
     "--k": {"type": _plain_int, "required": True, "help": "number of leading zeros"},
     "--labels": {"required": True, "help": "comma-separated vertex labels"},
     "--kind": {"choices": tuple(_BUILDERS), "required": True},
@@ -350,9 +345,9 @@ _COMMANDS = (
 )
 _ORACLE_COMMANDS = (
     ("smallest", _cmd_oracle_smallest, "smallest flow-up spline by exhaustive search",
-     {"--bound": {}, "--max-states": {}, "--k": {}}),
+     {"--max-states": {}, "--k": {}}),
     ("check-basis", _cmd_oracle_check_basis, "basis condition by enumeration",
-     {"--bound": {}, "--max-states": {}, "--kind": {"required": False}, "--candidates": {}}),
+     {"--max-states": {}, "--kind": {"required": False}, "--candidates": {}}),
     ("extension", _cmd_oracle_extension, "check a labeling on the chord-augmented cycle",
      {"--k": {}, "--labels": {}}),
 )

@@ -45,8 +45,9 @@ class BudgetExceededError(CycleSplinesError, RuntimeError):
 
     ``spent`` is the number of states charged when it stopped, the walk
     that crossed the limit in full, ``limit`` the state limit and
-    ``entry_bound`` the bound of the searched box; each is None where it
-    does not apply.
+    ``entry_bound`` the bound of the searched box.  Every raise in this
+    package sets all three; they default to None only for callers that
+    raise it themselves.
     """
 
     def __init__(

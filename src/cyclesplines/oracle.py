@@ -7,10 +7,12 @@ walking the residue class of its largest-label edge to an earlier vertex,
 filtered by its other such edges.  It is one flat loop over those walks,
 so any number of vertices fits the stack, and it yields in ascending
 lexicographic order, so the smallest spline is its first hit.  For small
-instances only (roughly n <= 6, labels <= 12); every search carries an
-:class:`EnumerationBudget`, whose state limit (``--max-states``) counts the
-candidate values considered, and aborts with :class:`BudgetExceededError`
-rather than running away.
+instances only (roughly n <= 6, labels <= 12).  The two searching questions,
+:func:`brute_force_smallest` and :func:`check_basis_by_definition`, search
+the box of :func:`search_bound`, which the labels alone fix and which
+provably holds their answer; their one setting is a state limit
+(``--max-states``) that counts the candidate values considered and aborts
+with :class:`BudgetExceededError` rather than running away.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .spline_core import (
     Spline,
     SplineLike,
     _check_flow_up_family,
+    _trusted_spline,
     is_spline,
     labeled_edges,
     leading_zeros,
@@ -40,7 +43,8 @@ DEFAULT_MAX_STATES = 5_000_000
 
 @dataclass(frozen=True)
 class EnumerationBudget:
-    """Bounds for an exhaustive search.
+    """Bounds for a listing whose box is the question itself, as in
+    :func:`enumerate_flow_up_splines`.
 
     ``entry_bound`` caps every entry of an enumerated labeling (the box is
     [0, entry_bound] per vertex) and ``max_states`` caps how many candidate
@@ -110,40 +114,34 @@ def enumerate_flow_up_splines(
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     if budget is None:
         budget = default_budget(cycle)
-    return [Spline(t) for t in _iter_graph_splines(cycle, k, budget)]
+    return [_trusted_spline(t) for t in _iter_graph_splines(cycle, k, budget)]
 
 
 def brute_force_smallest(
-    cycle: EdgeLabeledCycle, k: int, budget: Optional[EnumerationBudget] = None
+    cycle: EdgeLabeledCycle, k: int, max_states: int = DEFAULT_MAX_STATES
 ) -> Spline:
     """Smallest enumerated spline with exactly k leading zeros and positive
     remaining entries, comparing entry tuples left to right.
 
     Minimizing the leftmost entries first is the order under which a minimum
     exists: positive flow-up splines need not be comparable entry by entry.
-    The default budget uses :func:`smallest_class_bound`, which provably
-    contains the minimizer.  The result is one of the enumerated labelings,
-    so attainment is automatic; it is still re-checked against the edge
-    congruences, and a failure there would be a bug in the enumerator.
+    The search box is :func:`search_bound`'s, which provably contains the
+    minimizer, and at most ``max_states`` candidate values are considered.
+    The result is one of the enumerated labelings, so attainment is
+    automatic; that a hit exists and is a spline is still re-checked, and a
+    failure there would be a bug in the enumerator.
     """
     if not 1 <= k <= cycle.n - 1:
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
-    if budget is None:
-        budget = EnumerationBudget(smallest_class_bound(cycle))
+    budget = EnumerationBudget(search_bound(cycle), max_states)
     # the search ascends lexicographically, so its first hit is the minimum
     best = next((t for t in _iter_graph_splines(cycle, k, budget) if 0 not in t[k:]), None)
-    if best is None:
-        raise BudgetExceededError(
-            f"no flow-up spline with exactly {k} leading zeros and positive "
-            f"entries within entry bound {budget.entry_bound}",
-            entry_bound=budget.entry_bound,
-        )
-    result = Spline(best)
-    if not is_spline(cycle, result):
+    if best is None or not is_spline(cycle, best):
         raise InvariantViolationError(
-            "enumerated labeling violates an edge congruence"
+            f"the search box of entry bound {budget.entry_bound} holds no flow-up "
+            f"spline with exactly {k} leading zeros and positive entries"
         )
-    return result
+    return _trusted_spline(best)
 
 
 def triangulated_graph(cycle: EdgeLabeledCycle) -> EdgeLabeledGraph:
@@ -232,9 +230,7 @@ def _iter_graph_splines(
 
 
 def check_basis_by_definition(
-    graph: GraphLike,
-    candidates: Sequence[SplineLike],
-    budget: Optional[EnumerationBudget] = None,
+    graph: GraphLike, candidates: Sequence[SplineLike], max_states: int = DEFAULT_MAX_STATES
 ) -> bool:
     """Decide basis-hood straight from the defining divisibility condition.
 
@@ -243,14 +239,13 @@ def check_basis_by_definition(
     entry.  The scan for index i is skipped when that leading entry is a
     unit, and the whole check short-circuits on the first witness against.
 
-    Exhaustive at desk scale only.  The default box is that of
-    :func:`search_bound`, which always contains a witness when one exists
-    because candidates are required to be splines: their leading entries
-    are then multiples of the minimal ones, and a spline reaching the
-    minimal one refutes any strict multiple.
+    Exhaustive at desk scale only.  The box is that of :func:`search_bound`,
+    which always contains a witness when one exists because candidates are
+    required to be splines: their leading entries are then multiples of the
+    minimal ones, and a spline reaching the minimal one refutes any strict
+    multiple.  Each scan considers at most ``max_states`` candidate values.
     """
-    if budget is None:
-        budget = EnumerationBudget(search_bound(graph))
+    budget = EnumerationBudget(search_bound(graph), max_states)
     cands = _check_flow_up_family(candidates, vertex_count(graph), "candidate", graph)
     for i, cand in enumerate(cands):
         lead = cand.entries[i]

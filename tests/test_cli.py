@@ -238,27 +238,28 @@ def test_oracle_smallest(capsys):
 
 def test_oracle_smallest_budget_exhausted(capsys):
     code, _, err = run(
-        capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", "1"
+        capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max-states", "14"
     )
     assert code == 3
     assert "error" in err
 
 
 def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
-    # each search walks a residue class of more than 2**63 - 1 values
+    # each search walks a residue class of more than 2**63 - 1 values: the
+    # labels derive the box 3 * 10**21, on the cycle and as a graph
+    labels = (2, 5, 3 * 10**21)
     code, _, err = run(
-        capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", str(10**21)
+        capsys, "oracle", "smallest", "--cycle", ",".join(map(str, labels)), "--k", "1"
     )
     assert code == 3
     assert "exceeded its budget" in err
-    lab = 10**10
-    path = tmp_path / "triangle.json"
-    edges = [[1, 2, lab], [2, 3, lab], [3, 1, lab]]
+    cycle = EdgeLabeledCycle(labels)
+    path = tmp_path / "graph.json"
+    edges = [list(edge) for edge in cycle.as_graph().edges]
     path.write_text(json.dumps({"graph": {"vertices": 3, "edges": edges}}))
-    # the label-product box, 10**30
+    candidates = ";".join(",".join(map(str, e.entries)) for e in triangulation_basis(cycle))
     code, _, err = run(
-        capsys, "oracle", "check-basis", "--input", str(path), "--bound", str(10**30),
-        "--candidates", f"1,1,1;0,{lab},{lab};0,0,{lab}",
+        capsys, "oracle", "check-basis", "--input", str(path), "--candidates", candidates
     )
     assert code == 3
     assert "exceeded its budget" in err
@@ -432,8 +433,8 @@ MALFORMED = [
     ),
     (("oracle", "smallest", "--cycle", "2,5,3", "--k", "\u0661"), "argument --k: must be a base-10"),
     (
-        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--bound", "1_000"),
-        "argument --bound: must be a base-10 integer",
+        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max-states", "1_000"),
+        "argument --max-states: must be a base-10 integer",
     ),
     # flags are spelled in full: an abbreviation is not read as --input or
     # as --max-states
@@ -507,7 +508,7 @@ def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
-@pytest.mark.parametrize("flag", ["--bound", "--max-states"])
+@pytest.mark.parametrize("flag", ["--max-states"])
 def test_check_basis_smallest_validates_budget_first(capsys, flag):
     code, _, err = run(
         capsys, "oracle", "check-basis", "--cycle", "2,5,3", "--kind", "smallest", flag, "0"
@@ -554,6 +555,23 @@ def test_closed_form_commands_take_no_search_flags(capsys, command, flag):
     assert code == 2
     assert out == ""
     assert f"unrecognized arguments: {flag} 5" in err
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        ("smallest", "--k", "1", "--bound", "11"),
+        ("check-basis", "--candidates", "1,1,1;0,4,24;0,0,15", "--bound", "3"),
+    ],
+    ids=["smallest", "check-basis"],
+)
+def test_oracle_commands_take_no_bound(capsys, search):
+    # the labels fix the box: a smaller one answers wrongly with exit 0,
+    # 0,4,9 for smallest and a false "basis condition holds" for check-basis
+    code, out, err = run(capsys, "oracle", search[0], "--cycle", "2,5,3", *search[1:])
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: --bound {search[-1]}" in err
 
 
 def test_smallest_basis_with_30_digit_labels(capsys):
@@ -828,13 +846,10 @@ PINNED = [
         '{"spline": [0, 2, 12]}\n',
     ),
     (
-        "oracle smallest --cycle 2,5,3 --k 1 --bound 1",
+        "oracle smallest --cycle 2,5,3 --k 1 --max-states 14",
         3,
         "",
-        (
-            "error: no flow-up spline with exactly 1 leading zeros and positive entries"
-            " within entry bound 1\n"
-        ),
+        "error: enumeration exceeded its budget of 14 states: 15 charged, entry bound 15\n",
         "",
     ),
     (
@@ -990,10 +1005,8 @@ FUZZ_COMMANDS = {
     ("decompose",): {"--kind": "triangulation", "--labels": "1,3,13"},
     ("multiply",): {"--kind": "smallest", "--i": "1", "--j": "2"},
     ("table",): {"--kind": "king"},
-    ("oracle", "smallest"): {"--k": "1", "--bound": "15", "--max-states": "2000"},
-    ("oracle", "check-basis"): {
-        "--candidates": "1,1,1;0,2,12;0,0,15", "--bound": "15", "--max-states": "2000"
-    },
+    ("oracle", "smallest"): {"--k": "1", "--max-states": "2000"},
+    ("oracle", "check-basis"): {"--candidates": "1,1,1;0,2,12;0,0,15", "--max-states": "2000"},
     ("oracle", "extension"): {"--k": "1", "--labels": "0,2,12"},
 }
 FUZZ_INTS = st.one_of(
@@ -1054,7 +1067,7 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
     hostile = data.draw(st.sets(own, max_size=2) | st.sets(anything, max_size=1))
     if "--max-states" in hostile:
         # a huge state limit is only safe in the small box of 2,5,3
-        hostile -= {"--bound", "--cycle"}
+        hostile -= {"--cycle"}
     for flag in sorted(hostile):
         flags[flag] = data.draw(FUZZ_VALUES[flag], label=flag)
     machine = data.draw(st.booleans(), label="machine")

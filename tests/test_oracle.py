@@ -101,18 +101,16 @@ def test_budget_counts_each_walked_value():
 
 
 def test_walks_past_a_machine_word_exceed_the_budget():
-    # each search walks a residue class of more than 2**63 - 1 values
-    cycle = EdgeLabeledCycle((2, 5, 3))
+    # each search walks a residue class of more than 2**63 - 1 values: the
+    # labels derive the box 3 * 10**21, on the cycle and as a graph
+    cycle = EdgeLabeledCycle((2, 5, 3 * 10**21))
+    assert search_bound(cycle) == search_bound(cycle.as_graph()) == 3 * 10**21
     with pytest.raises(BudgetExceededError):
-        brute_force_smallest(cycle, 1, EnumerationBudget(10**21))
+        brute_force_smallest(cycle, 1)
     with pytest.raises(BudgetExceededError):
         enumerate_flow_up_splines(cycle, 1, EnumerationBudget(10**21))
-    lab = 10**10
-    triangle = EdgeLabeledGraph(3, ((1, 2, lab), (2, 3, lab), (3, 1, lab)))
-    candidates = [(1, 1, 1), (0, lab, lab), (0, 0, lab)]
-    # the label-product box, 10**30
     with pytest.raises(BudgetExceededError):
-        check_basis_by_definition(triangle, candidates, EnumerationBudget(10**30))
+        check_basis_by_definition(cycle.as_graph(), list(triangulation_basis(cycle)))
 
 
 def test_long_cycle_exceeds_the_budget_not_the_stack():
@@ -140,29 +138,25 @@ def test_brute_force_smallest_examples():
     assert brute_force_smallest(cycle, 2).entries == (0, 0, 30, 30)
 
 
-def test_brute_force_smallest_needs_room():
-    cycle = EdgeLabeledCycle((2, 5, 3))
-    with pytest.raises(BudgetExceededError):
-        brute_force_smallest(cycle, 1, EnumerationBudget(1))
-
-
 def test_brute_force_smallest_stops_at_its_first_hit():
     # k = 1 on 2,5,3 in [0, 15]: vertex 2 walks 0, 2, .., 14 (8 states), then
     # vertex 3 walks 0, 5, 10, 15 after 0 (4) and 2, 7, 12 after 2 (3), where
     # (0, 2, 12) is the first hit; the whole search would charge far more
     cycle = EdgeLabeledCycle((2, 5, 3))
-    assert brute_force_smallest(cycle, 1, EnumerationBudget(15, 15)).entries == (0, 2, 12)
+    assert brute_force_smallest(cycle, 1, 15).entries == (0, 2, 12)
     with pytest.raises(BudgetExceededError, match=": 15 charged"):
-        brute_force_smallest(cycle, 1, EnumerationBudget(15, 14))
+        brute_force_smallest(cycle, 1, 14)
 
 
 def test_brute_force_smallest_same_under_product_budget(rng):
-    # the tight default box must not change the answer
+    # the tight box must not change the answer: the label-product box of
+    # enumerate_flow_up_splines gives the same lexicographic minimum
     for _ in range(25):
         cycle = random_cycle(rng, n_range=(3, 4), label_range=(1, 5))
-        wide = EnumerationBudget(default_budget(cycle).entry_bound)
         for k in range(1, cycle.n):
-            assert brute_force_smallest(cycle, k) == brute_force_smallest(cycle, k, wide)
+            wide = (s.entries for s in enumerate_flow_up_splines(cycle, k))
+            best = min(t for t in wide if 0 not in t[k:])
+            assert brute_force_smallest(cycle, k).entries == best
 
 
 # --------------------------------------------------------------- chords
@@ -240,9 +234,7 @@ def test_check_basis_by_definition_on_plain_graph():
 def test_check_basis_by_definition_budget_exceeded():
     cycle = EdgeLabeledCycle((2, 5, 3))
     with pytest.raises(BudgetExceededError):
-        check_basis_by_definition(
-            cycle, list(triangulation_basis(cycle)), EnumerationBudget(15, 3)
-        )
+        check_basis_by_definition(cycle, list(triangulation_basis(cycle)), 3)
 
 
 def test_check_basis_by_definition_agrees_with_leading_entry_check(rng):
