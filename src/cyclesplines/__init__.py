@@ -5,8 +5,8 @@ that adjacent values agree modulo the edge label.  For cycles this package
 constructs flow-up bases of the resulting module (triangulation, king, and
 smallest, all closed forms at any size), verifies candidate bases,
 decomposes splines exactly, and computes multiplication tables, all in
-arbitrary-precision integer arithmetic.  A brute-force oracle certifies the
-closed forms at desk scale, and the ``cyclesplines`` command exposes
+arbitrary-precision integer arithmetic.  An oracle that never consults the
+closed forms certifies them, and the ``cyclesplines`` command exposes
 everything on the command line.
 """
 

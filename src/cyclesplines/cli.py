@@ -21,8 +21,8 @@ value is not mistaken for a flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
 unmet), 2 malformed input, 3 search budget exceeded.  Only oracle smallest
-and oracle check-basis search, in the box the labels prove holds the
-answer; --max-states caps each search.
+searches, in the box the labels prove holds the answer; --max-states caps
+that search.  oracle check-basis decides by elimination and has no budget.
 """
 
 from __future__ import annotations
@@ -165,12 +165,6 @@ def _check_range(flags: str, lo: int, hi: int, *values: int) -> None:
         raise _InputError(f"{flags} must be in [{lo}, {hi}], got {got}")
 
 
-def _max_states(args: argparse.Namespace) -> int:
-    if args.max_states < 1:
-        raise _InputError(f"--max-states must be positive, got {args.max_states}")
-    return args.max_states
-
-
 def _emit(args: argparse.Namespace, payload: dict, human_lines: Iterable[str]) -> None:
     """Write the payload in machine mode, else the lines; machine mode leaves a
     lazy iterable of lines unbuilt."""
@@ -274,7 +268,9 @@ def _cmd_table(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
 
 def _cmd_oracle_smallest(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
     _check_range("--k", 1, cycle.n - 1, args.k)
-    result = brute_force_smallest(cycle, args.k, _max_states(args))
+    if args.max_states < 1:
+        raise _InputError(f"--max-states must be positive, got {args.max_states}")
+    result = brute_force_smallest(cycle, args.k, args.max_states)
     return {"spline": result.entries}, map(_spline_text, [result.entries]), EXIT_OK
 
 
@@ -283,7 +279,6 @@ def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Res
         raise _InputError("give --kind to check a constructed basis or --candidates for explicit ones")
     if args.kind is not None and args.candidates is not None:
         raise _InputError("give either --kind or --candidates, not both")
-    max_states = _max_states(args)  # malformed flags exit 2 before any work
     if args.kind is not None:
         cycle = _require_cycle(target, "oracle check-basis --kind")
         candidates = list(_BUILDERS[args.kind](cycle).elements)
@@ -300,10 +295,10 @@ def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Res
                     f"--candidates: candidate {i} has {len(candidate)} entries, expected {n}"
                 )
     return _verdict(
-        check_basis_by_definition(target, candidates, max_states),
+        check_basis_by_definition(target, candidates),
         "basis condition holds for the given candidates",
-        "basis condition fails: some enumerated spline has a leading "
-        "entry that is not a multiple of the matching candidate's",
+        "basis condition fails: some spline has a leading entry that is not "
+        "a multiple of the matching candidate's",
     )
 
 
@@ -346,8 +341,8 @@ _COMMANDS = (
 _ORACLE_COMMANDS = (
     ("smallest", _cmd_oracle_smallest, "smallest flow-up spline by exhaustive search",
      {"--max-states": {}, "--k": {}}),
-    ("check-basis", _cmd_oracle_check_basis, "basis condition by enumeration",
-     {"--max-states": {}, "--kind": {"required": False}, "--candidates": {}}),
+    ("check-basis", _cmd_oracle_check_basis, "basis condition by lattice elimination",
+     {"--kind": {"required": False}, "--candidates": {}}),
     ("extension", _cmd_oracle_extension, "check a labeling on the chord-augmented cycle",
      {"--k": {}, "--labels": {}}),
 )
@@ -380,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     _add_commands(sub, _COMMANDS)
-    oracle = sub.add_parser("oracle", help="exhaustive desk-scale checks", allow_abbrev=False)
+    oracle = sub.add_parser("oracle", help="certify the closed forms", allow_abbrev=False)
     oracle_sub = oracle.add_subparsers(dest="oracle_command", required=True)
     _add_commands(oracle_sub, _ORACLE_COMMANDS, "oracle ")
     return parser

@@ -1,16 +1,16 @@
-"""Exhaustive desk-scale search over splines.
+"""Certificates of the closed forms that never consult them.
 
-Everything here certifies the closed-form constructions by direct
-enumeration, never consulting the formulas under test.  One enumerator
-serves cycles and general graphs: it fills the vertices in order, each
-walking the residue class of its largest-label edge to an earlier vertex,
-filtered by its other such edges.  It is one flat loop over those walks,
-so any number of vertices fits the stack, and it yields in ascending
-lexicographic order, so the smallest spline is its first hit.  For small
-instances only (roughly n <= 6, labels <= 12).  The two searching questions,
-:func:`brute_force_smallest` and :func:`check_basis_by_definition`, search
-the box of :func:`search_bound`, which the labels alone fix and which
-provably holds their answer; their one setting is a state limit
+Basis-hood is decided by elimination: :func:`_lattice_pivots` echelons the
+spline lattice modulo the lcm of the labels, and its pivots are the minimal
+leading entries, exactly at any size.  The rest is desk-scale search.  One
+enumerator serves cycles and general graphs: it fills the vertices in
+order, each walking the residue class of its largest-label edge to an
+earlier vertex, filtered by its other such edges.  It is one flat loop over
+those walks, so any number of vertices fits the stack, and it yields in
+ascending lexicographic order, so the smallest spline is its first hit.
+For small instances only (roughly n <= 6, labels <= 12).
+:func:`brute_force_smallest` searches the box of the largest pivot, which
+provably holds its answer; its one setting is a state limit
 (``--max-states``) that counts the candidate values considered and aborts
 with :class:`BudgetExceededError` rather than running away.
 """
@@ -23,7 +23,6 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr, _int_text
-from .numtheory import lcm
 from .spline_core import (
     EdgeLabeledCycle,
     EdgeLabeledGraph,
@@ -63,46 +62,70 @@ class EnumerationBudget:
             raise ValueError(f"state limit must be positive, got {self.max_states}")
 
 
-def default_budget(graph: GraphLike, max_states: int = DEFAULT_MAX_STATES) -> EnumerationBudget:
+def default_budget(graph: GraphLike) -> EnumerationBudget:
     """Budget whose entry bound is the product of all edge labels.
 
     Adding that product to any single entry preserves every congruence, so
     each residue pattern of a spline has a representative inside the box.
     """
-    return EnumerationBudget(graph.label_product(), max_states)
+    return EnumerationBudget(graph.label_product())
 
 
 def smallest_class_bound(cycle: EdgeLabeledCycle) -> int:
-    """A tight entry bound that still contains the smallest flow-up class.
+    """A tight entry bound that still contains the smallest flow-up class:
+    the largest of :func:`_lattice_pivots`.
 
-    A partial labeling ending in value g at position i extends to a full
-    flow-up spline exactly when suffix_gcd(i) divides g, so minimizing the
-    entries left to right just chains least positive solutions of the pair
-    systems {x = previous (mod label(i - 1)), x = 0 (mod suffix_gcd(i))}.
-    Each such solution is at most lcm(label(i - 1), suffix_gcd(i)), so the
-    whole class lies in the box [0, B] with B the maximum of those least
-    common multiples.  Far smaller than the label product, which makes
-    exhaustive certification feasible on five-vertex cycles.
+    Entry j + 1 of the smallest positive spline with k <= j leading zeros
+    lies in [1, pivot j]: subtracting a multiple of a spline that reaches
+    pivot j keeps the entries before j + 1, and adding multiples of the
+    later ones makes the entries after it positive again.  Far smaller than
+    the label product, which makes exhaustive certification feasible on
+    five-vertex cycles.
     """
-    return max(lcm(cycle.label(i - 1), cycle.suffix_gcd(i)) for i in range(2, cycle.n + 1))
+    return max(_lattice_pivots(cycle))
 
 
-def search_bound(graph: GraphLike) -> int:
-    """The entry bound of a search given none: :func:`smallest_class_bound`
-    for a cycle, and the lcm D of the labels for a general graph.
+def _lattice_pivots(graph: GraphLike) -> list[int]:
+    """Slot k is the least positive entry at vertex k + 1 of a spline whose
+    first k entries vanish.
 
-    Every label divides D, so D times the indicator of one vertex is a
-    spline.  The entries at vertex i + 1 of the splines with i leading zeros
-    are the multiples of some m_i > 0, and D is one of them, so m_i divides
-    D.  Adding multiples of those indicator splines to a spline that has i
-    leading zeros and m_i at vertex i + 1 reduces its later entries mod D
-    and keeps it a spline, which then lies in [0, D].  That is the witness
-    :func:`check_basis_by_definition` needs against every leading entry
-    other than plus or minus m_i.
+    They are the diagonal of the echelon (Hermite) form of the lattice
+    spanned by (e_v | incidence of v) per vertex and (0 | label * e_e) per
+    edge, whose vectors with zero edge part are the splines.  D, the lcm of
+    the labels, times any unit vector lies in it, so each pivot starts at D
+    and entries are kept modulo D (Cohen, *A Course in Computational
+    Algebraic Number Theory*, 2.4).  Edge columns are eliminated first, and
+    folding in the label rows first keeps the rows short.
     """
-    if isinstance(graph, EdgeLabeledCycle):
-        return smallest_class_bound(graph)
-    return math.lcm(*(lab for _, _, lab in graph.edges))
+    edges = labeled_edges(graph)
+    m, n, d = len(edges), vertex_count(graph), math.lcm(*(lab for *_, lab in edges))
+    pivots = [{c: d} for c in range(m + n)]
+    rows = [{c: lab} for c, (*_, lab) in enumerate(edges)] + [{m + v: 1} for v in range(n)]
+    for c, (_, u, v, _) in enumerate(edges):
+        rows[m + u - 1][c], rows[m + v - 1][c] = 1, -1
+    for row in rows:
+        row = _combine(row, 1, {}, 0, d)  # reduced modulo d, zeros dropped
+        while row:
+            c = min(row)
+            pivot = pivots[c]
+            p, x = pivot[c], row[c]
+            g = math.gcd(p, x)
+            # s p + t x = g makes the new pivot, and (x / g) pivot - (p / g) row
+            # the rest of the row, without column c
+            t = pow(x // g, -1, p // g)
+            pivots[c] = _combine(pivot, (g - t * x) // p, row, t, d)
+            row = _combine(pivot, x // g, row, -(p // g), d)
+    return [pivots[m + k][m + k] for k in range(n)]
+
+
+def _combine(a: dict[int, int], s: int, b: dict[int, int], t: int, d: int) -> dict[int, int]:
+    # s a + t b modulo d, as a sparse row without zero entries
+    out = {}
+    for c in a.keys() | b.keys():
+        value = (s * a.get(c, 0) + t * b.get(c, 0)) % d
+        if value:
+            out[c] = value
+    return out
 
 
 def enumerate_flow_up_splines(
@@ -125,15 +148,15 @@ def brute_force_smallest(
 
     Minimizing the leftmost entries first is the order under which a minimum
     exists: positive flow-up splines need not be comparable entry by entry.
-    The search box is :func:`search_bound`'s, which provably contains the
-    minimizer, and at most ``max_states`` candidate values are considered.
-    The result is one of the enumerated labelings, so attainment is
-    automatic; that a hit exists and is a spline is still re-checked, and a
-    failure there would be a bug in the enumerator.
+    The search box is :func:`smallest_class_bound`'s, which provably
+    contains the minimizer, and at most ``max_states`` candidate values are
+    considered.  The result is one of the enumerated labelings, so
+    attainment is automatic; that a hit exists and is a spline is still
+    re-checked, and a failure there would be a bug in the enumerator.
     """
     if not 1 <= k <= cycle.n - 1:
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
-    budget = EnumerationBudget(search_bound(cycle), max_states)
+    budget = EnumerationBudget(smallest_class_bound(cycle), max_states)
     # the search ascends lexicographically, so its first hit is the minimum
     best = next((t for t in _iter_graph_splines(cycle, k, budget) if 0 not in t[k:]), None)
     if best is None or not is_spline(cycle, best):
@@ -229,29 +252,14 @@ def _iter_graph_splines(
         pos += 1
 
 
-def check_basis_by_definition(
-    graph: GraphLike, candidates: Sequence[SplineLike], max_states: int = DEFAULT_MAX_STATES
-) -> bool:
+def check_basis_by_definition(graph: GraphLike, candidates: Sequence[SplineLike]) -> bool:
     """Decide basis-hood straight from the defining divisibility condition.
 
-    For each index i, every enumerated spline whose first i entries vanish
-    must have its entry at position i + 1 divisible by candidate i's leading
-    entry.  The scan for index i is skipped when that leading entry is a
-    unit, and the whole check short-circuits on the first witness against.
-
-    Exhaustive at desk scale only.  The box is that of :func:`search_bound`,
-    which always contains a witness when one exists because candidates are
-    required to be splines: their leading entries are then multiples of the
-    minimal ones, and a spline reaching the minimal one refutes any strict
-    multiple.  Each scan considers at most ``max_states`` candidate values.
+    For each index i, every spline whose first i entries vanish must have
+    its entry at position i + 1 divisible by candidate i's leading entry.
+    Candidates must be splines, so theirs are multiples of
+    :func:`_lattice_pivots`' slot i, and the condition holds exactly when
+    each is plus or minus its pivot.  No search, box or budget.
     """
-    budget = EnumerationBudget(search_bound(graph), max_states)
     cands = _check_flow_up_family(candidates, vertex_count(graph), "candidate", graph)
-    for i, cand in enumerate(cands):
-        lead = cand.entries[i]
-        if abs(lead) == 1:
-            continue
-        for t in _iter_graph_splines(graph, i, budget):
-            if t[i] % lead != 0:
-                return False
-    return True
+    return [abs(cand.entries[i]) for i, cand in enumerate(cands)] == _lattice_pivots(graph)

@@ -279,10 +279,6 @@ def vertex_count(graph: GraphLike) -> int:
     return graph.n if isinstance(graph, EdgeLabeledCycle) else graph.vertex_count
 
 
-def spline_entries(labels: SplineLike) -> tuple[int, ...]:
-    return labels.entries if isinstance(labels, Spline) else _as_int_tuple(labels, "vertex labels")
-
-
 def _as_spline(labels: SplineLike) -> Spline:
     """``labels`` itself if it is a Spline, else a Spline of its entries."""
     return labels if isinstance(labels, Spline) else _trusted_spline(_as_int_tuple(labels, "vertex labels"))

@@ -245,8 +245,8 @@ def test_oracle_smallest_budget_exhausted(capsys):
 
 
 def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
-    # each search walks a residue class of more than 2**63 - 1 values: the
-    # labels derive the box 3 * 10**21, on the cycle and as a graph
+    # the search walks a residue class of more than 2**63 - 1 values: the
+    # labels derive the box 3 * 10**21; check-basis eliminates, with no budget
     labels = (2, 5, 3 * 10**21)
     code, _, err = run(
         capsys, "oracle", "smallest", "--cycle", ",".join(map(str, labels)), "--k", "1"
@@ -258,25 +258,32 @@ def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
     edges = [list(edge) for edge in cycle.as_graph().edges]
     path.write_text(json.dumps({"graph": {"vertices": 3, "edges": edges}}))
     candidates = ";".join(",".join(map(str, e.entries)) for e in triangulation_basis(cycle))
-    code, _, err = run(
+    code, out, err = run(
         capsys, "oracle", "check-basis", "--input", str(path), "--candidates", candidates
     )
-    assert code == 3
-    assert "exceeded its budget" in err
+    assert (code, out, err) == (0, "basis condition holds for the given candidates\n", "")
 
 
 @pytest.mark.parametrize(
-    "search", [("smallest", "--k", "1"), ("check-basis", "--kind", "triangulation")]
+    "search",
+    [
+        (
+            ("smallest", "--k", "1", "--max-states", "100000"),
+            3,
+            "enumeration exceeded its budget of 100000 states",
+        ),
+        (("check-basis", "--kind", "triangulation"), 0, "basis condition holds"),
+    ],
 )
 def test_oracle_search_depth_is_not_bounded_by_the_stack(capsys, search):
-    # one open walk per vertex: 1200 of them exceed the budget, not the
-    # interpreter's recursion limit
+    # 1200 vertices: smallest opens one walk per vertex and runs out of
+    # states, not of the interpreter's recursion limit; check-basis
+    # eliminates, with no budget, and decides
+    argv, expected, report = search
     cycle = ",".join(str(i % 29 + 1) for i in range(1200))
-    code, out, err = run(
-        capsys, "oracle", search[0], "--cycle", cycle, *search[1:], "--max-states", "100000"
-    )
-    assert (code, out) == (3, "")
-    assert "enumeration exceeded its budget of 100000 states" in err
+    code, out, err = run(capsys, "oracle", argv[0], "--cycle", cycle, *argv[1:])
+    assert code == expected
+    assert report in (err if code else out)
 
 
 @pytest.mark.parametrize("first, code", [("0,2,50,200", 0), ("0,4,100,400", 1)])
@@ -508,15 +515,6 @@ def test_deeply_nested_input_file_exits_2(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
-@pytest.mark.parametrize("flag", ["--max-states"])
-def test_check_basis_smallest_validates_budget_first(capsys, flag):
-    code, _, err = run(
-        capsys, "oracle", "check-basis", "--cycle", "2,5,3", "--kind", "smallest", flag, "0"
-    )
-    assert code == 2
-    assert f"{flag} must be positive, got 0" in err
-
-
 def test_bare_value_error_is_a_bug_not_a_domain_failure(monkeypatch, capsys):
     # only the package's own errors map to exit 1; anything else propagates
     def broken(cycle):
@@ -562,16 +560,18 @@ def test_closed_form_commands_take_no_search_flags(capsys, command, flag):
     [
         ("smallest", "--k", "1", "--bound", "11"),
         ("check-basis", "--candidates", "1,1,1;0,4,24;0,0,15", "--bound", "3"),
+        ("check-basis", "--kind", "triangulation", "--max-states", "5"),
     ],
-    ids=["smallest", "check-basis"],
+    ids=["smallest", "check-basis", "check-basis-max-states"],
 )
 def test_oracle_commands_take_no_bound(capsys, search):
     # the labels fix the box: a smaller one answers wrongly with exit 0,
-    # 0,4,9 for smallest and a false "basis condition holds" for check-basis
+    # 0,4,9 for smallest and a false "basis condition holds" for check-basis;
+    # check-basis eliminates and has no state limit either
     code, out, err = run(capsys, "oracle", search[0], "--cycle", "2,5,3", *search[1:])
     assert code == 2
     assert out == ""
-    assert f"unrecognized arguments: --bound {search[-1]}" in err
+    assert f"unrecognized arguments: {search[-2]} {search[-1]}" in err
 
 
 def test_smallest_basis_with_30_digit_labels(capsys):
@@ -863,7 +863,7 @@ PINNED = [
         "oracle check-basis --cycle 2,5,3 --candidates 1,1,1;0,4,24;0,0,15",
         1,
         (
-            "basis condition fails: some enumerated spline has a leading entry that is"
+            "basis condition fails: some spline has a leading entry that is"
             " not a multiple of the matching candidate's\n"
         ),
         "",
@@ -1006,7 +1006,7 @@ FUZZ_COMMANDS = {
     ("multiply",): {"--kind": "smallest", "--i": "1", "--j": "2"},
     ("table",): {"--kind": "king"},
     ("oracle", "smallest"): {"--k": "1", "--max-states": "2000"},
-    ("oracle", "check-basis"): {"--candidates": "1,1,1;0,2,12;0,0,15", "--max-states": "2000"},
+    ("oracle", "check-basis"): {"--candidates": "1,1,1;0,2,12;0,0,15"},
     ("oracle", "extension"): {"--k": "1", "--labels": "0,2,12"},
 }
 FUZZ_INTS = st.one_of(

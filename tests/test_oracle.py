@@ -1,6 +1,10 @@
-import pytest
+import math
 
-from conftest import random_cycle
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_cycle, reference_graph_splines
 from cyclesplines import (
     BasisStructureError,
     BudgetExceededError,
@@ -23,7 +27,7 @@ from cyclesplines import (
     triangulation_spline,
     verify_triangulated_extension,
 )
-from cyclesplines.oracle import search_bound
+from cyclesplines.oracle import _lattice_pivots
 
 
 # --------------------------------------------------------------- budgets
@@ -43,12 +47,13 @@ def test_default_budget_is_label_product():
     assert default_budget(graph).entry_bound == 30
 
 
-def test_search_bound_is_smallest_class_bound_on_cycles_and_label_lcm_on_graphs():
+def test_lattice_pivots_on_a_chord_graph_and_without_edges():
     cycle = EdgeLabeledCycle((2, 6, 15, 10))
-    assert search_bound(cycle) == smallest_class_bound(cycle) == 30
+    assert smallest_class_bound(cycle) == 30
     chord = EdgeLabeledGraph(4, ((1, 2, 2), (2, 3, 6), (3, 4, 15), (4, 1, 10), (1, 3, 5)))
-    assert search_bound(chord) == 30
-    assert search_bound(EdgeLabeledGraph(2, ())) == 1
+    assert _lattice_pivots(chord) == [1, 2, 30, 30]
+    # no labels: their lcm is 1 and every pivot is 1
+    assert _lattice_pivots(EdgeLabeledGraph(2, ())) == [1, 1]
 
 
 def test_smallest_class_bound_values():
@@ -102,15 +107,13 @@ def test_budget_counts_each_walked_value():
 
 def test_walks_past_a_machine_word_exceed_the_budget():
     # each search walks a residue class of more than 2**63 - 1 values: the
-    # labels derive the box 3 * 10**21, on the cycle and as a graph
+    # labels derive the box 3 * 10**21; the basis check eliminates, with no budget
     cycle = EdgeLabeledCycle((2, 5, 3 * 10**21))
-    assert search_bound(cycle) == search_bound(cycle.as_graph()) == 3 * 10**21
     with pytest.raises(BudgetExceededError):
         brute_force_smallest(cycle, 1)
     with pytest.raises(BudgetExceededError):
         enumerate_flow_up_splines(cycle, 1, EnumerationBudget(10**21))
-    with pytest.raises(BudgetExceededError):
-        check_basis_by_definition(cycle.as_graph(), list(triangulation_basis(cycle)))
+    assert check_basis_by_definition(cycle.as_graph(), list(triangulation_basis(cycle)))
 
 
 def test_long_cycle_exceeds_the_budget_not_the_stack():
@@ -231,12 +234,6 @@ def test_check_basis_by_definition_on_plain_graph():
     assert check_basis_by_definition(graph, list(triangulation_basis(cycle)))
 
 
-def test_check_basis_by_definition_budget_exceeded():
-    cycle = EdgeLabeledCycle((2, 5, 3))
-    with pytest.raises(BudgetExceededError):
-        check_basis_by_definition(cycle, list(triangulation_basis(cycle)), 3)
-
-
 def test_check_basis_by_definition_agrees_with_leading_entry_check(rng):
     for _ in range(25):
         cycle = random_cycle(rng, n_range=(3, 4), label_range=(1, 6))
@@ -250,3 +247,58 @@ def test_check_basis_by_definition_agrees_with_leading_entry_check(rng):
             check_flow_up_basis(cycle, doubled)
         )
         assert not check_basis_by_definition(cycle, doubled)
+
+
+# ---------------------------------------------------------------- lattice
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 40), min_size=3, max_size=50),
+        st.integers(3, 50).map(lambda n: [1] * n),
+        st.lists(st.integers(10**29, 10**30 - 1), min_size=3, max_size=12),
+    )
+)
+def test_lattice_pivots_are_the_minimal_leading_entries_on_cycles(labels):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    minimal = [smallest_leading_entry(cycle, k) for k in range(1, cycle.n)]
+    assert _lattice_pivots(cycle) == [1, *minimal]
+
+
+@st.composite
+def tiny_graphs(draw):
+    """Graphs on one to four vertices whose label product is at most 12, so
+    that the product box can be listed in full; parallel edges, label-1
+    edges and no edges at all included."""
+    n = draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
+    edges, product = [], 1
+    drawn = draw(st.lists(st.tuples(pairs, st.integers(1, 6)), max_size=5 if n > 1 else 0))
+    for (u, v), lab in drawn:
+        if product * lab <= 12:
+            edges.append((u, v, lab))
+            product *= lab
+    return EdgeLabeledGraph(n, tuple(edges))
+
+
+@settings(deadline=None)
+@given(tiny_graphs())
+def test_lattice_pivots_are_the_gcds_of_the_listed_entries_on_graphs(graph):
+    # the label-product box holds a spline reaching each minimal entry
+    box = default_budget(graph)
+    gcds = [
+        math.gcd(*(t[k] for t in reference_graph_splines(graph, k, box)))
+        for k in range(graph.vertex_count)
+    ]
+    assert _lattice_pivots(graph) == gcds
+
+
+def test_lattice_pivots_certify_the_smallest_leading_entries_at_n_1000(rng):
+    cycle = random_cycle(rng, n_range=(1000, 1000), label_range=(1, 30))
+    minimal = [smallest_leading_entry(cycle, k) for k in range(1, cycle.n)]
+    assert _lattice_pivots(cycle) == [1, *minimal]
+    basis = list(smallest_basis(cycle))
+    assert check_basis_by_definition(cycle, basis)
+    basis[500] = basis[500] * 2
+    assert not check_basis_by_definition(cycle, basis)

@@ -33,7 +33,7 @@ from cyclesplines import (
     triangulation_basis,
     trivial_spline,
 )
-from cyclesplines.spline_core import spline_entries, vertex_count
+from cyclesplines.spline_core import vertex_count
 
 
 # ---------------------------------------------------------------- cycles
@@ -173,8 +173,6 @@ def test_spline_rejects_floats():
 
 
 def test_spline_entries_and_vertex_count():
-    assert spline_entries(Spline((1, 2))) == (1, 2)
-    assert spline_entries([1, 2]) == (1, 2)
     assert vertex_count(EdgeLabeledCycle((2, 5, 3))) == 3
     assert vertex_count(EdgeLabeledGraph(7, ())) == 7
 
