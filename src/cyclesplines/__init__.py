@@ -42,6 +42,7 @@ from .oracle import (
     check_basis_by_definition,
     default_budget,
     enumerate_flow_up_splines,
+    lattice_smallest,
     smallest_class_bound,
     triangulated_graph,
     verify_triangulated_extension,
@@ -106,6 +107,7 @@ __all__ = [
     "king_multiplication_table",
     "king_product",
     "labeled_edges",
+    "lattice_smallest",
     "lcm",
     "leading_zeros",
     "mod_inverse",

@@ -273,8 +273,8 @@ def smallest_flow_up_class(cycle: EdgeLabeledCycle, k: int) -> Spline:
     spline exactly when suffix_gcd(i) divides h, so the minimizer is the
     triangulation chain with the least positive solution taken at each
     step: at most lcm(label(i - 1), suffix_gcd(i)) per entry, and never
-    above the matching triangulation entry.  Works at any n;
-    :func:`oracle.brute_force_smallest` certifies it at desk scale.
+    above the matching triangulation entry.  Works at any n, and so does
+    its certificate, :func:`oracle.lattice_smallest`.
     """
     n = cycle.n
     if not 1 <= k <= n - 1:

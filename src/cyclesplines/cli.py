@@ -15,14 +15,14 @@ document with either {"cycle": [2, 5, 3]} or
 {"graph": {"vertices": 2, "edges": [[1, 2, 2]]}}.  With --format machine a
 single JSON document is written to stdout and diagnostics go to stderr,
 including the human report of a command that fails.  Numbers are plain base
-10.  Flags are spelled in full: an abbreviation such as --max exits 2.  Note
+10.  Flags are spelled in full: an abbreviation such as --cand exits 2.  Note
 for negative entries: write --labels=-1,-1,-1 (with the equals sign) so the
 value is not mistaken for a flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
-unmet), 2 malformed input, 3 search budget exceeded.  Only oracle smallest
-searches, in the box the labels prove holds the answer; --max-states caps
-that search.  oracle check-basis decides by elimination and has no budget.
+unmet), 2 malformed input.  No command searches: oracle smallest reads its
+answer off the echelon form of the spline lattice and oracle check-basis
+decides by the same elimination, so no command runs out of a budget.
 """
 
 from __future__ import annotations
@@ -35,13 +35,8 @@ from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .bases import king_basis, smallest_basis, triangulation_basis
-from .errors import BudgetExceededError, CycleSplinesError, DimensionError
-from .oracle import (
-    DEFAULT_MAX_STATES,
-    brute_force_smallest,
-    check_basis_by_definition,
-    verify_triangulated_extension,
-)
+from .errors import CycleSplinesError, DimensionError
+from .oracle import check_basis_by_definition, lattice_smallest, verify_triangulated_extension
 from .ring_algebra import (
     decompose,
     king_multiplication_table,
@@ -63,7 +58,6 @@ from .spline_core import (
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
-EXIT_BUDGET = 3
 
 # --kind -> basis builder; each looks its builder up when called
 _BUILDERS = {
@@ -268,9 +262,7 @@ def _cmd_table(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
 
 def _cmd_oracle_smallest(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
     _check_range("--k", 1, cycle.n - 1, args.k)
-    if args.max_states < 1:
-        raise _InputError(f"--max-states must be positive, got {args.max_states}")
-    result = brute_force_smallest(cycle, args.k, args.max_states)
+    result = lattice_smallest(cycle, args.k)
     return {"spline": result.entries}, map(_spline_text, [result.entries]), EXIT_OK
 
 
@@ -318,8 +310,6 @@ def _cmd_oracle_extension(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> 
 
 # add_argument keywords of the command flags
 _FLAGS = {
-    "--max-states": {"type": _plain_int, "default": DEFAULT_MAX_STATES,
-                     "help": "abort a search after this many states"},
     "--k": {"type": _plain_int, "required": True, "help": "number of leading zeros"},
     "--labels": {"required": True, "help": "comma-separated vertex labels"},
     "--kind": {"choices": tuple(_BUILDERS), "required": True},
@@ -339,8 +329,8 @@ _COMMANDS = (
      {"--kind": {"choices": ("triangulation", "king")}}),
 )
 _ORACLE_COMMANDS = (
-    ("smallest", _cmd_oracle_smallest, "smallest flow-up spline by exhaustive search",
-     {"--max-states": {}, "--k": {}}),
+    ("smallest", _cmd_oracle_smallest, "smallest flow-up spline by lattice elimination",
+     {"--k": {}}),
     ("check-basis", _cmd_oracle_check_basis, "basis condition by lattice elimination",
      {"--kind": {"required": False}, "--candidates": {}}),
     ("extension", _cmd_oracle_extension, "check a labeling on the chord-augmented cycle",
@@ -427,9 +417,6 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     except _Refusal as exc:
         print(*exc.args, sep="\n", file=sys.stderr)
         return EXIT_DOMAIN
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except CycleSplinesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -1,25 +1,25 @@
 """Certificates of the closed forms that never consult them.
 
-Basis-hood is decided by elimination: :func:`_lattice_pivots` echelons the
-spline lattice modulo the lcm of the labels, and its pivots are the minimal
-leading entries, exactly at any size.  The rest is desk-scale search.  One
-enumerator serves cycles and general graphs: it fills the vertices in
-order, each walking the residue class of its largest-label edge to an
-earlier vertex, filtered by its other such edges.  It is one flat loop over
-those walks, so any number of vertices fits the stack, and it yields in
-ascending lexicographic order, so the smallest spline is its first hit.
-For small instances only (roughly n <= 6, labels <= 12).
-:func:`brute_force_smallest` searches the box of the largest pivot, which
-provably holds its answer; its one setting is a state limit
-(``--max-states``) that counts the candidate values considered and aborts
-with :class:`BudgetExceededError` rather than running away.
+Everything exact at any size comes from one elimination:
+:func:`_lattice_rows` echelons the spline lattice modulo the lcm of the
+labels.  Its pivots are the minimal leading entries, which decide
+basis-hood, and :func:`lattice_smallest` reads the smallest flow-up spline
+off its rows.  The rest is a desk-scale reference search on cycles: it
+fills the vertices in order, each walking the residue class of an edge to
+an earlier vertex, in one flat loop, so any number of vertices fits the
+stack, and it yields in ascending lexicographic order, so the smallest
+spline is its first hit.  Its cost grows with the box, so it serves
+desk-scale cycles only, as the reference the tests hold the lattice to.
+:func:`brute_force_smallest` searches the box of the largest pivot,
+which provably holds its answer; its one setting is a state limit that
+counts the candidate values considered and aborts with
+:class:`BudgetExceededError` rather than running away.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, InvariantViolationError, _dataclass_repr, _int_text
@@ -87,15 +87,22 @@ def smallest_class_bound(cycle: EdgeLabeledCycle) -> int:
 
 def _lattice_pivots(graph: GraphLike) -> list[int]:
     """Slot k is the least positive entry at vertex k + 1 of a spline whose
-    first k entries vanish.
+    first k entries vanish: the diagonal of :func:`_lattice_rows`."""
+    return [row[k] for k, row in enumerate(_lattice_rows(graph))]
 
-    They are the diagonal of the echelon (Hermite) form of the lattice
-    spanned by (e_v | incidence of v) per vertex and (0 | label * e_e) per
-    edge, whose vectors with zero edge part are the splines.  D, the lcm of
-    the labels, times any unit vector lies in it, so each pivot starts at D
-    and entries are kept modulo D (Cohen, *A Course in Computational
-    Algebraic Number Theory*, 2.4).  Edge columns are eliminated first, and
-    folding in the label rows first keeps the rows short.
+
+def _lattice_rows(graph: GraphLike) -> list[dict[int, int]]:
+    """Row k is the vertex part of the pivot row of vertex k + 1, as a sparse
+    map from position to entry: a spline modulo D whose first k entries
+    vanish and whose entry k is its pivot, the least positive one possible.
+
+    They come from the echelon (Hermite) form of the lattice spanned by
+    (e_v | incidence of v) per vertex and (0 | label * e_e) per edge, whose
+    vectors with zero edge part are the splines.  D, the lcm of the labels,
+    times any unit vector lies in it, so each pivot starts at D and entries
+    are kept modulo D (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4).  Edge columns are eliminated first, and folding in the
+    label rows first keeps the rows short.
     """
     edges = labeled_edges(graph)
     m, n, d = len(edges), vertex_count(graph), math.lcm(*(lab for *_, lab in edges))
@@ -115,7 +122,32 @@ def _lattice_pivots(graph: GraphLike) -> list[int]:
             t = pow(x // g, -1, p // g)
             pivots[c] = _combine(pivot, (g - t * x) // p, row, t, d)
             row = _combine(pivot, x // g, row, -(p // g), d)
-    return [pivots[m + k][m + k] for k in range(n)]
+    # a pivot row of a vertex column is zero in every edge column
+    return [{c - m: x for c, x in pivot.items()} for pivot in pivots[m:]]
+
+
+def lattice_smallest(graph: GraphLike, k: int) -> Spline:
+    """Smallest spline with exactly k leading zeros and positive remaining
+    entries, comparing entry tuples left to right, read off the lattice.
+
+    Entry k is pivot k, reached by row k of :func:`_lattice_rows`.  With the
+    entries before j fixed, entry j can move by exactly the multiples of
+    pivot j, so subtracting a multiple of row j, which keeps them, brings it
+    to the least positive value, in [1, pivot j].  Exact at any size, and
+    independent of the closed forms: no chain, king or m_k value is read.
+    """
+    n = vertex_count(graph)
+    if not 1 <= k <= n - 1:
+        raise IndexError(f"k must be in [1, {n - 1}], got {k}")
+    rows = _lattice_rows(graph)
+    entries = [0] * n
+    for c, x in rows[k].items():
+        entries[c] = x
+    for j in range(k + 1, n):
+        q = (entries[j] - 1) // rows[j][j]
+        for c, x in rows[j].items():
+            entries[c] -= q * x
+    return _trusted_spline(tuple(entries))
 
 
 def _combine(a: dict[int, int], s: int, b: dict[int, int], t: int, d: int) -> dict[int, int]:
@@ -137,7 +169,7 @@ def enumerate_flow_up_splines(
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     if budget is None:
         budget = default_budget(cycle)
-    return [_trusted_spline(t) for t in _iter_graph_splines(cycle, k, budget)]
+    return [_trusted_spline(t) for t in _iter_cycle_splines(cycle, k, budget)]
 
 
 def brute_force_smallest(
@@ -152,13 +184,14 @@ def brute_force_smallest(
     contains the minimizer, and at most ``max_states`` candidate values are
     considered.  The result is one of the enumerated labelings, so
     attainment is automatic; that a hit exists and is a spline is still
-    re-checked, and a failure there would be a bug in the enumerator.
+    re-checked, and a failure there would be a bug in the enumerator.  The
+    desk-scale reference for :func:`lattice_smallest`.
     """
     if not 1 <= k <= cycle.n - 1:
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
     budget = EnumerationBudget(smallest_class_bound(cycle), max_states)
     # the search ascends lexicographically, so its first hit is the minimum
-    best = next((t for t in _iter_graph_splines(cycle, k, budget) if 0 not in t[k:]), None)
+    best = next((t for t in _iter_cycle_splines(cycle, k, budget) if 0 not in t[k:]), None)
     if best is None or not is_spline(cycle, best):
         raise InvariantViolationError(
             f"the search box of entry bound {budget.entry_bound} holds no flow-up "
@@ -188,36 +221,26 @@ def verify_triangulated_extension(cycle: EdgeLabeledCycle, k: int, h: SplineLike
     return bool(is_spline(triangulated_graph(cycle), h))
 
 
-def _lower_constraints(graph: GraphLike) -> list[tuple[int, int, list[tuple[int, int]]]]:
-    # slot t plans vertex t from its edges to earlier vertices, written
-    # (lower endpoint - 1, label): it walks the residue class of the one with
-    # the largest label (the first listed among equals, the sort being
-    # stable) and is filtered by the rest.  A label-1 edge, which every value
-    # satisfies, stands in for none.
-    lower: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count(graph) + 1)]
-    for _, u, v, lab in sorted(labeled_edges(graph), key=itemgetter(3), reverse=True):
-        lower[max(u, v)].append((min(u, v) - 1, lab))
-    return [(*cons[0], cons[1:]) if cons else (0, 1, []) for cons in lower]
-
-
-def _iter_graph_splines(
-    graph: GraphLike, min_leading_zeros: int, budget: EnumerationBudget
+def _iter_cycle_splines(
+    cycle: EdgeLabeledCycle, k: int, budget: EnumerationBudget
 ) -> Iterator[tuple[int, ...]]:
-    """Yield entry tuples of splines on a cycle or general graph with the
-    first ``min_leading_zeros`` vertices pinned to zero and entries in the
-    box, in ascending lexicographic order; planned once per search."""
-    n = vertex_count(graph)
-    if not 0 <= min_leading_zeros <= n:
-        raise IndexError(f"leading zero count must be in [0, {n}], got {min_leading_zeros}")
+    """Yield entry tuples of splines on the cycle with the first k vertices
+    pinned to zero, 1 <= k <= n - 1, and entries in the box, in ascending
+    lexicographic order."""
+    n, labels = cycle.n, cycle.labels
     bound, limit, spent = budget.entry_bound, budget.max_states, 0
-    plan = _lower_constraints(graph)
+    # slot t plans vertex t as (earlier vertex - 1, label walked, filters):
+    # vertex t < n walks the class of edge t - 1, and vertex n walks the
+    # larger label of edges n - 1 and n (edge n - 1 on a tie), filtered by
+    # the other; slots 0 and 1 are never read
+    edge_n1, edge_n = (n - 2, labels[n - 2]), (0, labels[n - 1])
+    walked, other = (edge_n, edge_n1) if edge_n[1] > edge_n1[1] else (edge_n1, edge_n)
+    plan = [(t - 2, labels[t - 2], []) for t in range(n)] + [(*walked, [other])]
     acc = [0] * n
     # each vertex's open walk, an iterator holding its next value; None if closed
     walks: list[Optional[Iterator[int]]] = [None] * (n + 1)
-    pos = min_leading_zeros + 1
-    if pos > n:
-        yield tuple(acc)
-    while n >= pos > min_leading_zeros:
+    pos = k + 1
+    while pos > k:
         i0, lab0, rest = plan[pos]
         walk = walks[pos]
         if walk is None:

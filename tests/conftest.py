@@ -110,9 +110,9 @@ def reference_product_terms(basis, i, j):
 
 
 # ------------------------------------------------ enumeration references
-# The two enumerators the oracle had before cycles went through the graph
-# walk, kept as written then.  The merged enumerator must yield the same
-# tuples in the same order.
+# The two enumerators the oracle had before its one flat cycle search, kept
+# as written then.  That search must yield the same tuples in the same
+# order, and the graph listing is the reference for the lattice on graphs.
 
 
 class ReferenceStates:

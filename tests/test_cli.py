@@ -22,6 +22,7 @@ from cyclesplines import (
     king_product,
     product_in_basis,
     reconstruct,
+    smallest_basis,
     triangulation_basis,
 )
 from cyclesplines import cli, oracle
@@ -237,22 +238,21 @@ def test_oracle_smallest(capsys):
 
 
 def test_oracle_smallest_budget_exhausted(capsys):
-    code, _, err = run(
+    # smallest reads its answer off the lattice: there is no search to cap
+    code, out, err = run(
         capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max-states", "14"
     )
-    assert code == 3
-    assert "error" in err
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --max-states 14" in err
 
 
 def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
-    # the search walks a residue class of more than 2**63 - 1 values: the
-    # labels derive the box 3 * 10**21; check-basis eliminates, with no budget
+    # a pivot of 3 * 10**21, past 2**63 - 1: both commands eliminate, exactly
     labels = (2, 5, 3 * 10**21)
-    code, _, err = run(
+    code, out, err = run(
         capsys, "oracle", "smallest", "--cycle", ",".join(map(str, labels)), "--k", "1"
     )
-    assert code == 3
-    assert "exceeded its budget" in err
+    assert (code, out, err) == (0, "0,10,3000000000000000000000\n", "")
     cycle = EdgeLabeledCycle(labels)
     path = tmp_path / "graph.json"
     edges = [list(edge) for edge in cycle.as_graph().edges]
@@ -265,31 +265,27 @@ def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "search",
-    [
-        (
-            ("smallest", "--k", "1", "--max-states", "100000"),
-            3,
-            "enumeration exceeded its budget of 100000 states",
-        ),
-        (("check-basis", "--kind", "triangulation"), 0, "basis condition holds"),
-    ],
+    "search", [("smallest", "--k", "1"), ("check-basis", "--kind", "triangulation")]
 )
 def test_oracle_search_depth_is_not_bounded_by_the_stack(capsys, search):
-    # 1200 vertices: smallest opens one walk per vertex and runs out of
-    # states, not of the interpreter's recursion limit; check-basis
-    # eliminates, with no budget, and decides
-    argv, expected, report = search
-    cycle = ",".join(str(i % 29 + 1) for i in range(1200))
-    code, out, err = run(capsys, "oracle", argv[0], "--cycle", cycle, *argv[1:])
-    assert code == expected
-    assert report in (err if code else out)
+    # 1200 vertices: both commands eliminate, with no budget, and answer at
+    # once; smallest gives element 1 of the smallest basis
+    cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(1200)))
+    expected = {
+        "smallest": {"spline": list(smallest_basis(cycle)[1].entries)},
+        "check-basis": {"ok": True},
+    }[search[0]]
+    code, payload, err = run_json(
+        capsys, "oracle", search[0], "--cycle", ",".join(map(str, cycle.labels)),
+        *search[1:], "--format", "machine",
+    )
+    assert (code, payload, err) == (0, expected, "")
 
 
 @pytest.mark.parametrize("first, code", [("0,2,50,200", 0), ("0,4,100,400", 1)])
-def test_oracle_check_basis_on_a_graph_searches_the_label_lcm_box(tmp_path, capsys, first, code):
+def test_oracle_check_basis_on_a_graph_eliminates(tmp_path, capsys, first, code):
     # the 4-cycle 2,6,15,10 with its chord 1-3 and its triangulation basis,
-    # then with candidate 1 doubled; the label product 9000 ran out of states
+    # then with candidate 1 doubled: pivot 1 of the graph's lattice is 2
     path = tmp_path / "graph.json"
     edges = [[1, 2, 2], [2, 3, 6], [3, 4, 15], [4, 1, 10], [1, 3, 5]]
     path.write_text(json.dumps({"graph": {"vertices": 4, "edges": edges}}))
@@ -439,19 +435,20 @@ MALFORMED = [
         "argument --i: must be a base-10 integer",
     ),
     (("oracle", "smallest", "--cycle", "2,5,3", "--k", "\u0661"), "argument --k: must be a base-10"),
+    # a retired flag is no flag at all, whatever its value
     (
         ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max-states", "1_000"),
-        "argument --max-states: must be a base-10 integer",
+        "unrecognized arguments: --max-states 1_000",
     ),
     # flags are spelled in full: an abbreviation is not read as --input or
-    # as --max-states
+    # as --candidates
     (
         ("verify", "--cycle", "2,5,3", "--labels", "0,2,12", "--i", "1"),
         "unrecognized arguments: --i 1",
     ),
     (
-        ("oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max", "5"),
-        "unrecognized arguments: --max 5",
+        ("oracle", "check-basis", "--cycle", "2,5,3", "--cand", "1,1,1;0,2,12;0,0,15"),
+        "unrecognized arguments: --cand 1,1,1;0,2,12;0,0,15",
     ),
 ]
 
@@ -847,9 +844,12 @@ PINNED = [
     ),
     (
         "oracle smallest --cycle 2,5,3 --k 1 --max-states 14",
-        3,
+        2,
         "",
-        "error: enumeration exceeded its budget of 14 states: 15 charged, entry bound 15\n",
+        (
+            "usage: cyclesplines [-h] {verify,basis,decompose,multiply,table,oracle} ...\n"
+            "cyclesplines: error: unrecognized arguments: --max-states 14\n"
+        ),
         "",
     ),
     (
@@ -1005,7 +1005,7 @@ FUZZ_COMMANDS = {
     ("decompose",): {"--kind": "triangulation", "--labels": "1,3,13"},
     ("multiply",): {"--kind": "smallest", "--i": "1", "--j": "2"},
     ("table",): {"--kind": "king"},
-    ("oracle", "smallest"): {"--k": "1", "--max-states": "2000"},
+    ("oracle", "smallest"): {"--k": "1"},
     ("oracle", "check-basis"): {"--candidates": "1,1,1;0,2,12;0,0,15"},
     ("oracle", "extension"): {"--k": "1", "--labels": "0,2,12"},
 }
@@ -1065,15 +1065,10 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
     own = st.sampled_from(sorted({*flags, "--cycle"}))
     anything = st.sampled_from(sorted(FUZZ_VALUES))
     hostile = data.draw(st.sets(own, max_size=2) | st.sets(anything, max_size=1))
-    if "--max-states" in hostile:
-        # a huge state limit is only safe in the small box of 2,5,3
-        hostile -= {"--cycle"}
     for flag in sorted(hostile):
         flags[flag] = data.draw(FUZZ_VALUES[flag], label=flag)
     machine = data.draw(st.booleans(), label="machine")
-    from_file = "--max-states" not in hostile and "--cycle" not in hostile and data.draw(
-        st.booleans(), label="from file"
-    )
+    from_file = "--cycle" not in hostile and data.draw(st.booleans(), label="from file")
     with tempfile.TemporaryDirectory() as tmp:
         if from_file:
             flags["--input"] = os.path.join(tmp, "input.json")
@@ -1095,7 +1090,8 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-    assert code in (0, 1, 2, 3)
+    # no command searches, so none runs out of a budget (exit 3)
+    assert code in (0, 1, 2)
     if machine and out.getvalue():
         with unlimited_digits():
             json.loads(out.getvalue())  # exactly one document, or this raises
@@ -1103,5 +1099,5 @@ def test_hostile_argv_keeps_the_exit_code_contract(command, data):
         assert code == 2
     # every failure says why on stderr, except a human-mode exit 1 whose
     # report is the output itself
-    if code in (2, 3) or (machine and code == 1):
+    if code == 2 or (machine and code == 1):
         assert err.getvalue()

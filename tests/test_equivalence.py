@@ -65,7 +65,7 @@ from cyclesplines import (
     trivial_spline,
 )
 from cyclesplines import ring_algebra, spline_core
-from cyclesplines.oracle import _iter_graph_splines
+from cyclesplines.oracle import _iter_cycle_splines
 
 small_labels = st.lists(st.integers(min_value=1, max_value=30), min_size=3, max_size=40)
 # runs of 1s and shared factors make the pinned reset (a // g == 1) common
@@ -644,7 +644,7 @@ def test_every_spline_carries_the_jumps_of_its_entries(pair, c, labels):
         assert spline._jumps == reference_jumps(spline.entries)
 
 
-# --------------------------------------- one enumerator vs the former two
+# ------------------------------------ the cycle search vs the former two
 
 oracle_cycles = st.lists(st.integers(min_value=1, max_value=8), min_size=3, max_size=5)
 # enough tuples to cover many leaf walks; the label-product box of a
@@ -666,7 +666,7 @@ def test_cycle_enumeration_matches_former_enumerators(labels):
         found = [s.entries for s in enumerate_flow_up_splines(cycle, k, tight)]
         assert found == list(reference_cycle_flow_up(cycle, k, tight))
         assert found == list(reference_graph_splines(cycle.as_graph(), k, tight))
-        wide = prefix(_iter_graph_splines(cycle, k, product))
+        wide = prefix(_iter_cycle_splines(cycle, k, product))
         assert wide == prefix(reference_cycle_flow_up(cycle, k, product))
         assert wide == prefix(reference_graph_splines(cycle.as_graph(), k, product))
         if cycle.n == 3:
@@ -675,27 +675,6 @@ def test_cycle_enumeration_matches_former_enumerators(labels):
             )
         best = min((t for t in found if 0 not in t[k:]), default=None)
         assert brute_force_smallest(cycle, k).entries == best
-
-
-@st.composite
-def small_graphs(draw):
-    """Graphs on up to five vertices with labels up to 6, repeated edges and
-    isolated vertices allowed, and edges listed in any order."""
-    n = draw(st.integers(1, 5))
-    pairs = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] != p[1])
-    edges = draw(st.lists(st.tuples(pairs, st.integers(1, 6)), max_size=8 if n > 1 else 0))
-    return EdgeLabeledGraph(n, tuple((u, v, lab) for (u, v), lab in edges))
-
-
-@settings(deadline=None)
-@given(small_graphs(), st.integers(1, 12), st.data())
-def test_graph_enumeration_matches_former_enumerator(graph, bound, data):
-    # more states than any search in the box can take, so neither side stops
-    budget = EnumerationBudget(bound, (bound + 2) ** (graph.vertex_count + 1))
-    zeros = data.draw(st.integers(0, graph.vertex_count))
-    assert prefix(_iter_graph_splines(graph, zeros, budget)) == prefix(
-        reference_graph_splines(graph, zeros, budget)
-    )
 
 
 @settings(deadline=None)

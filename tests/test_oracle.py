@@ -19,6 +19,7 @@ from cyclesplines import (
     enumerate_flow_up_splines,
     is_spline,
     king_basis,
+    lattice_smallest,
     smallest_basis,
     smallest_class_bound,
     smallest_leading_entry,
@@ -27,7 +28,8 @@ from cyclesplines import (
     triangulation_spline,
     verify_triangulated_extension,
 )
-from cyclesplines.oracle import _lattice_pivots
+from cyclesplines import oracle
+from cyclesplines.oracle import _lattice_pivots, _lattice_rows
 
 
 # --------------------------------------------------------------- budgets
@@ -302,3 +304,44 @@ def test_lattice_pivots_certify_the_smallest_leading_entries_at_n_1000(rng):
     assert check_basis_by_definition(cycle, basis)
     basis[500] = basis[500] * 2
     assert not check_basis_by_definition(cycle, basis)
+
+
+# ------------------------------------------------ smallest off the lattice
+
+
+def test_lattice_smallest_k_bounds():
+    cycle = EdgeLabeledCycle((2, 5, 3))
+    for bad in (0, 3, -1):
+        with pytest.raises(IndexError, match=rf"k must be in \[1, 2\], got {bad}"):
+            lattice_smallest(cycle, bad)
+    with pytest.raises(IndexError, match=r"k must be in \[1, 0\], got 1"):
+        lattice_smallest(EdgeLabeledGraph(1, ()), 1)
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=3, max_size=5))
+def test_lattice_smallest_is_the_searched_minimum_on_cycles(labels):
+    cycle = EdgeLabeledCycle(tuple(labels))
+    for k in range(1, cycle.n):
+        assert lattice_smallest(cycle, k) == brute_force_smallest(cycle, k)
+
+
+@settings(deadline=None)
+@given(tiny_graphs().filter(lambda graph: graph.vertex_count >= 2))
+def test_lattice_smallest_is_the_listed_minimum_on_graphs(graph):
+    # reference_graph_splines lists in ascending lexicographic order, so the
+    # first tuple with a positive tail is the least
+    box = default_budget(graph)
+    for k in range(1, graph.vertex_count):
+        listed = reference_graph_splines(graph, k, box)
+        least = next(t for t in listed if 0 not in t[k:])
+        assert lattice_smallest(graph, k).entries == least
+
+
+def test_lattice_smallest_is_the_smallest_basis_at_n_1000(rng, monkeypatch):
+    cycle = random_cycle(rng, n_range=(1000, 1000), label_range=(1, 30))
+    # one elimination serves every element
+    rows = _lattice_rows(cycle)
+    monkeypatch.setattr(oracle, "_lattice_rows", lambda graph: rows)
+    found = [lattice_smallest(cycle, k) for k in range(1, cycle.n)]
+    assert found == list(smallest_basis(cycle))[1:]
