@@ -8,16 +8,18 @@ Usage:
     cyclesplines table     --cycle 2,5,3 --kind triangulation
     cyclesplines oracle smallest    --cycle 2,5,3 --k 1
     cyclesplines oracle check-basis --cycle 2,5,3 --kind triangulation
-    cyclesplines oracle extension   --cycle 2,6,15,10 --k 1 --labels 0,2,50,200
+    cyclesplines oracle extension   --cycle 2,6,15,10 --labels 0,2,50,200
 
 Input comes from --cycle (comma-separated labels) or --input FILE, a JSON
 document with either {"cycle": [2, 5, 3]} or
 {"graph": {"vertices": 2, "edges": [[1, 2, 2]]}}.  With --format machine a
 single JSON document is written to stdout and diagnostics go to stderr,
 including the human report of a command that fails.  Numbers are plain base
-10.  Flags are spelled in full: an abbreviation such as --cand exits 2.  Note
-for negative entries: write --labels=-1,-1,-1 (with the equals sign) so the
-value is not mistaken for a flag.
+10.  Flags are spelled in full: an abbreviation such as --cand exits 2, under
+the usage line of the subcommand given.  oracle extension checks any
+labeling, whatever its number of leading zeros.  Note for negative
+entries: write --labels=-1,-1,-1 (with the equals sign) so the value is not
+mistaken for a flag.
 
 Exit codes: 0 success, 1 domain failure (violations found, preconditions
 unmet), 2 malformed input.  No command searches: oracle smallest reads its
@@ -51,7 +53,6 @@ from .spline_core import (
     Spline,
     is_spline,
     labeled_edges,
-    leading_zeros,
     vertex_count,
 )
 
@@ -295,12 +296,8 @@ def _cmd_oracle_check_basis(args: argparse.Namespace, target: GraphLike) -> _Res
 
 
 def _cmd_oracle_extension(args: argparse.Namespace, cycle: EdgeLabeledCycle) -> _Result:
-    _check_range("--k", 0, cycle.n - 1, args.k)
-    found = leading_zeros(args.labels)
-    if found != args.k:
-        raise _Refusal(f"error: expected exactly {args.k} leading zeros, found {found}")
     return _verdict(
-        verify_triangulated_extension(cycle, args.k, args.labels),
+        verify_triangulated_extension(cycle, args.labels),
         "labels satisfy every edge of the chord-augmented cycle",
         "labels violate the chord-augmented cycle",
     )
@@ -334,7 +331,7 @@ _ORACLE_COMMANDS = (
     ("check-basis", _cmd_oracle_check_basis, "basis condition by lattice elimination",
      {"--kind": {"required": False}, "--candidates": {}}),
     ("extension", _cmd_oracle_extension, "check a labeling on the chord-augmented cycle",
-     {"--k": {}, "--labels": {}}),
+     {"--labels": {}}),
 )
 # the commands that take a general graph; _run refuses one for the others
 _GRAPH_COMMANDS = (_cmd_verify, _cmd_oracle_check_basis)
@@ -353,7 +350,9 @@ def _add_commands(subparsers, commands, prefix: str = "") -> None:
         )
         for flag, keywords in flags.items():
             p.add_argument(flag, **{**_FLAGS[flag], **keywords})
-        p.set_defaults(func=func, needs_cycle=None if func in _GRAPH_COMMANDS else prefix + name)
+        p.set_defaults(
+            func=func, parser=p, needs_cycle=None if func in _GRAPH_COMMANDS else prefix + name
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +388,10 @@ def _run(argv: Optional[Sequence[str]]) -> int:
     error to its exit code; the one place that writes to stdout or stderr."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extras = parser.parse_known_args(argv)
+        if extras:
+            # parse_args would report them under the root parser's usage
+            args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code or 0)
     try:

@@ -32,8 +32,6 @@ def mod_inverse(a: int, m: int) -> int:
     """
     if m <= 0:
         raise ValueError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return 0
     try:
         return pow(a, -1, m)
     except ValueError:

@@ -11,9 +11,9 @@ stack, and it yields in ascending lexicographic order, so the smallest
 spline is its first hit.  Its cost grows with the box, so it serves
 desk-scale cycles only, as the reference the tests hold the lattice to.
 :func:`brute_force_smallest` searches the box of the largest pivot,
-which provably holds its answer; its one setting is a state limit that
-counts the candidate values considered and aborts with
-:class:`BudgetExceededError` rather than running away.
+which provably holds its answer, under the fixed state limit
+``DEFAULT_MAX_STATES``: it counts the candidate values considered and
+aborts with :class:`BudgetExceededError` rather than running away.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .spline_core import (
     _trusted_spline,
     is_spline,
     labeled_edges,
-    leading_zeros,
     vertex_count,
 )
 
@@ -172,24 +171,23 @@ def enumerate_flow_up_splines(
     return [_trusted_spline(t) for t in _iter_cycle_splines(cycle, k, budget)]
 
 
-def brute_force_smallest(
-    cycle: EdgeLabeledCycle, k: int, max_states: int = DEFAULT_MAX_STATES
-) -> Spline:
+def brute_force_smallest(cycle: EdgeLabeledCycle, k: int) -> Spline:
     """Smallest enumerated spline with exactly k leading zeros and positive
     remaining entries, comparing entry tuples left to right.
 
     Minimizing the leftmost entries first is the order under which a minimum
     exists: positive flow-up splines need not be comparable entry by entry.
     The search box is :func:`smallest_class_bound`'s, which provably
-    contains the minimizer, and at most ``max_states`` candidate values are
-    considered.  The result is one of the enumerated labelings, so
-    attainment is automatic; that a hit exists and is a spline is still
-    re-checked, and a failure there would be a bug in the enumerator.  The
-    desk-scale reference for :func:`lattice_smallest`.
+    contains the minimizer, and at most ``DEFAULT_MAX_STATES`` candidate
+    values are considered; a caller who needs another limit lists the same
+    box with :func:`enumerate_flow_up_splines`.  The result is one of the
+    enumerated labelings, so attainment is automatic; that a hit exists and
+    is a spline is still re-checked, and a failure there would be a bug in
+    the enumerator.  The desk-scale reference for :func:`lattice_smallest`.
     """
     if not 1 <= k <= cycle.n - 1:
         raise IndexError(f"k must be in [1, {cycle.n - 1}], got {k}")
-    budget = EnumerationBudget(smallest_class_bound(cycle), max_states)
+    budget = EnumerationBudget(smallest_class_bound(cycle), DEFAULT_MAX_STATES)
     # the search ascends lexicographically, so its first hit is the minimum
     best = next((t for t in _iter_cycle_splines(cycle, k, budget) if 0 not in t[k:]), None)
     if best is None or not is_spline(cycle, best):
@@ -209,15 +207,9 @@ def triangulated_graph(cycle: EdgeLabeledCycle) -> EdgeLabeledGraph:
     return EdgeLabeledGraph(cycle.n, tuple(edges))
 
 
-def verify_triangulated_extension(cycle: EdgeLabeledCycle, k: int, h: SplineLike) -> bool:
-    """True when ``h`` satisfies every congruence of the chord-augmented graph.
-
-    ``h`` must have exactly k leading zeros; that is a precondition on the
-    caller, not part of the verdict.
-    """
-    found = leading_zeros(h)
-    if found != k:
-        raise ValueError(f"expected exactly {k} leading zeros, found {found}")
+def verify_triangulated_extension(cycle: EdgeLabeledCycle, h: SplineLike) -> bool:
+    """True when ``h`` satisfies every congruence of the chord-augmented graph,
+    whatever its number of leading zeros."""
     return bool(is_spline(triangulated_graph(cycle), h))
 
 
@@ -229,19 +221,19 @@ def _iter_cycle_splines(
     lexicographic order."""
     n, labels = cycle.n, cycle.labels
     bound, limit, spent = budget.entry_bound, budget.max_states, 0
-    # slot t plans vertex t as (earlier vertex - 1, label walked, filters):
-    # vertex t < n walks the class of edge t - 1, and vertex n walks the
-    # larger label of edges n - 1 and n (edge n - 1 on a tie), filtered by
-    # the other; slots 0 and 1 are never read
+    # slot t plans vertex t as (earlier vertex - 1, label walked): vertex
+    # t < n walks the class of edge t - 1, and vertex n walks the larger
+    # label of edges n - 1 and n (edge n - 1 on a tie) and is filtered by
+    # the other, (i1, lab1); slots 0 and 1 are never read
     edge_n1, edge_n = (n - 2, labels[n - 2]), (0, labels[n - 1])
-    walked, other = (edge_n, edge_n1) if edge_n[1] > edge_n1[1] else (edge_n1, edge_n)
-    plan = [(t - 2, labels[t - 2], []) for t in range(n)] + [(*walked, [other])]
+    walked, (i1, lab1) = (edge_n, edge_n1) if edge_n[1] > edge_n1[1] else (edge_n1, edge_n)
+    plan = [(t - 2, labels[t - 2]) for t in range(n)] + [walked]
     acc = [0] * n
     # each vertex's open walk, an iterator holding its next value; None if closed
     walks: list[Optional[Iterator[int]]] = [None] * (n + 1)
     pos = k + 1
     while pos > k:
-        i0, lab0, rest = plan[pos]
+        i0, lab0 = plan[pos]
         walk = walks[pos]
         if walk is None:
             start = acc[i0] % lab0
@@ -258,14 +250,13 @@ def _iter_cycle_splines(
                 )
             walk = walks[pos] = iter(range(start, bound + 1, lab0))
         for val in walk:
-            for i, lab in rest:
-                if (val - acc[i]) % lab:
-                    break
-            else:
-                # val meets every lower edge: yield at the last vertex, else go deeper
+            if pos < n:
+                # val meets the one edge down: go deeper
                 acc[pos - 1] = val
-                if pos < n:
-                    break
+                break
+            if (val - acc[i1]) % lab1 == 0:
+                # the last vertex meets both its edges: yield
+                acc[pos - 1] = val
                 yield tuple(acc)
         else:
             # spent: close the walk and step back; acc[pos - 1] is rewritten before use

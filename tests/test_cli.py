@@ -237,7 +237,7 @@ def test_oracle_smallest(capsys):
     assert out.strip() == "0,2,12"
 
 
-def test_oracle_smallest_budget_exhausted(capsys):
+def test_oracle_smallest_refuses_max_states(capsys):
     # smallest reads its answer off the lattice: there is no search to cap
     code, out, err = run(
         capsys, "oracle", "smallest", "--cycle", "2,5,3", "--k", "1", "--max-states", "14"
@@ -246,7 +246,7 @@ def test_oracle_smallest_budget_exhausted(capsys):
     assert "unrecognized arguments: --max-states 14" in err
 
 
-def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
+def test_oracle_reads_pivots_past_a_machine_word(tmp_path, capsys):
     # a pivot of 3 * 10**21, past 2**63 - 1: both commands eliminate, exactly
     labels = (2, 5, 3 * 10**21)
     code, out, err = run(
@@ -267,7 +267,7 @@ def test_oracle_walks_past_a_machine_word_exceed_the_budget(tmp_path, capsys):
 @pytest.mark.parametrize(
     "search", [("smallest", "--k", "1"), ("check-basis", "--kind", "triangulation")]
 )
-def test_oracle_search_depth_is_not_bounded_by_the_stack(capsys, search):
+def test_oracle_answers_on_1200_vertices(capsys, search):
     # 1200 vertices: both commands eliminate, with no budget, and answer at
     # once; smallest gives element 1 of the smallest basis
     cycle = EdgeLabeledCycle(tuple(i % 29 + 1 for i in range(1200)))
@@ -346,24 +346,24 @@ def test_oracle_check_basis_malformed_candidates_exit_2(capsys, candidates, mess
 
 def test_oracle_extension(capsys):
     code, _, _ = run(
-        capsys, "oracle", "extension", "--cycle", "2,6,15,10",
-        "--k", "1", "--labels", "0,2,50,200",
+        capsys, "oracle", "extension", "--cycle", "2,6,15,10", "--labels", "0,2,50,200"
     )
     assert code == 0
     code, _, _ = run(
-        capsys, "oracle", "extension", "--cycle", "2,6,15,10",
-        "--k", "1", "--labels", "0,2,15,200",
+        capsys, "oracle", "extension", "--cycle", "2,6,15,10", "--labels", "0,2,15,200"
     )
     assert code == 1
 
 
 def test_oracle_extension_wrong_zero_count(capsys):
-    code, _, err = run(
-        capsys, "oracle", "extension", "--cycle", "2,6,15,10",
-        "--k", "1", "--labels", "0,0,30,120",
-    )
-    assert code == 1
-    assert "leading zeros" in err
+    # the labels fix their zero count, so --k is no flag (exit 2), and a
+    # labeling with two leading zeros is simply checked
+    argv = ("oracle", "extension", "--cycle", "2,6,15,10", "--labels", "0,0,30,120")
+    code, out, err = run(capsys, *argv, "--k", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --k 1" in err
+    held = "labels satisfy every edge of the chord-augmented cycle\n"
+    assert run(capsys, *argv) == (0, held, "")
 
 
 @pytest.mark.parametrize(
@@ -371,7 +371,7 @@ def test_oracle_extension_wrong_zero_count(capsys):
     [
         ("verify", "--cycle", "2,5,3", "--labels", "0,2,13"),
         ("oracle", "check-basis", "--cycle", "2,5,3", "--candidates", "1,1,1;0,4,24;0,0,15"),
-        ("oracle", "extension", "--cycle", "2,6,15,10", "--k", "1", "--labels", "0,2,50,201"),
+        ("oracle", "extension", "--cycle", "2,6,15,10", "--labels", "0,2,50,201"),
     ],
 )
 def test_failing_machine_command_writes_its_human_report_to_stderr(capsys, argv):
@@ -401,6 +401,14 @@ def test_input_file_graph(tmp_path, capsys):
     assert code == 0
     code, _, _ = run(capsys, "verify", "--input", str(path), "--labels", "0,4,7")
     assert code == 1
+
+
+def test_input_graph_without_edges_exits_2(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"graph": {"vertices": 3}}))
+    code, out, err = run(capsys, "verify", "--input", str(path), "--labels", "0,0,0")
+    assert (code, out) == (2, "")
+    assert err == 'error: "graph" must be an object with "vertices" and "edges"\n'
 
 
 def test_graph_input_rejected_for_cycle_commands(tmp_path, capsys):
@@ -524,15 +532,14 @@ def test_bare_value_error_is_a_bug_not_a_domain_failure(monkeypatch, capsys):
 
 
 def test_oracle_extension_bug_is_not_a_domain_failure(monkeypatch, capsys):
-    # the zero-count precondition is checked before the call, so a
-    # ValueError from inside the check is a bug and propagates
+    # the check has no precondition to refuse, so a ValueError from inside
+    # it is a bug and propagates
     def broken(cycle):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(oracle, "triangulated_graph", broken)
     with pytest.raises(ValueError, match="internal bug"):
-        main(["oracle", "extension", "--cycle", "2,6,15,10", "--k", "1",
-              "--labels", "0,2,50,200"])
+        main(["oracle", "extension", "--cycle", "2,6,15,10", "--labels", "0,2,50,200"])
     assert capsys.readouterr().err == ""
 
 
@@ -847,8 +854,9 @@ PINNED = [
         2,
         "",
         (
-            "usage: cyclesplines [-h] {verify,basis,decompose,multiply,table,oracle} ...\n"
-            "cyclesplines: error: unrecognized arguments: --max-states 14\n"
+            "usage: cyclesplines oracle smallest [-h] [--cycle CYCLE] [--input INPUT]\n"
+            "                                    [--format {human,machine}] --k K\n"
+            "cyclesplines oracle smallest: error: unrecognized arguments: --max-states 14\n"
         ),
         "",
     ),
@@ -870,24 +878,36 @@ PINNED = [
         '{"ok": false}\n',
     ),
     (
-        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,2,50,200",
+        "oracle extension --cycle 2,6,15,10 --labels 0,2,50,200",
         0,
         "labels satisfy every edge of the chord-augmented cycle\n",
         "",
         '{"ok": true}\n',
     ),
     (
-        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,2,50,201",
+        "oracle extension --cycle 2,6,15,10 --labels 0,2,50,201",
         1,
         "labels violate the chord-augmented cycle\n",
         "",
         '{"ok": false}\n',
     ),
     (
-        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,0,30,120",
-        1,
+        "oracle extension --cycle 2,6,15,10 --labels 0,0,30,120",
+        0,
+        "labels satisfy every edge of the chord-augmented cycle\n",
         "",
-        "error: expected exactly 1 leading zeros, found 2\n",
+        '{"ok": true}\n',
+    ),
+    (
+        "oracle extension --cycle 2,6,15,10 --k 1 --labels 0,2,50,200",
+        2,
+        "",
+        (
+            "usage: cyclesplines oracle extension [-h] [--cycle CYCLE] [--input INPUT]\n"
+            "                                     [--format {human,machine}] --labels\n"
+            "                                     LABELS\n"
+            "cyclesplines oracle extension: error: unrecognized arguments: --k 1\n"
+        ),
         "",
     ),
 ]
@@ -896,7 +916,11 @@ PINNED = [
 @pytest.mark.parametrize(
     "argv, code, human, human_err, machine", PINNED, ids=[case[0] for case in PINNED]
 )
-def test_stdout_bytes_and_exit_codes_are_pinned(capsys, argv, code, human, human_err, machine):
+def test_stdout_bytes_and_exit_codes_are_pinned(
+    monkeypatch, capsys, argv, code, human, human_err, machine
+):
+    # argparse wraps its usage lines to the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
     assert run(capsys, *argv.split()) == (code, human, human_err)
     assert run(capsys, *argv.split(), "--format", "machine")[:2] == (code, machine)
 
@@ -1007,7 +1031,7 @@ FUZZ_COMMANDS = {
     ("table",): {"--kind": "king"},
     ("oracle", "smallest"): {"--k": "1"},
     ("oracle", "check-basis"): {"--candidates": "1,1,1;0,2,12;0,0,15"},
-    ("oracle", "extension"): {"--k": "1", "--labels": "0,2,12"},
+    ("oracle", "extension"): {"--labels": "0,2,12"},
 }
 FUZZ_INTS = st.one_of(
     st.integers(-2, 6).map(str),

@@ -130,6 +130,8 @@ def test_enumeration_k_bounds():
     for bad in (0, 3):
         with pytest.raises(IndexError):
             enumerate_flow_up_splines(cycle, bad, EnumerationBudget(30))
+        with pytest.raises(IndexError, match=rf"k must be in \[1, 2\], got {bad}"):
+            brute_force_smallest(cycle, bad)
 
 
 # -------------------------------------------------------------- smallest
@@ -143,14 +145,17 @@ def test_brute_force_smallest_examples():
     assert brute_force_smallest(cycle, 2).entries == (0, 0, 30, 30)
 
 
-def test_brute_force_smallest_stops_at_its_first_hit():
+def test_brute_force_smallest_stops_at_its_first_hit(monkeypatch):
     # k = 1 on 2,5,3 in [0, 15]: vertex 2 walks 0, 2, .., 14 (8 states), then
     # vertex 3 walks 0, 5, 10, 15 after 0 (4) and 2, 7, 12 after 2 (3), where
-    # (0, 2, 12) is the first hit; the whole search would charge far more
+    # (0, 2, 12) is the first hit; the whole search would charge far more.
+    # The state limit is read when the search starts
     cycle = EdgeLabeledCycle((2, 5, 3))
-    assert brute_force_smallest(cycle, 1, 15).entries == (0, 2, 12)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_STATES", 15)
+    assert brute_force_smallest(cycle, 1).entries == (0, 2, 12)
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_STATES", 14)
     with pytest.raises(BudgetExceededError, match=": 15 charged"):
-        brute_force_smallest(cycle, 1, 14)
+        brute_force_smallest(cycle, 1)
 
 
 def test_brute_force_smallest_same_under_product_budget(rng):
@@ -187,10 +192,8 @@ def test_triangulated_graph_three_cycle_has_no_chords():
 
 def test_verify_triangulated_extension():
     cycle = EdgeLabeledCycle((2, 6, 15, 10))
-    assert verify_triangulated_extension(cycle, 1, (0, 2, 50, 200))
-    assert not verify_triangulated_extension(cycle, 1, (0, 2, 15, 200))
-    with pytest.raises(ValueError):
-        verify_triangulated_extension(cycle, 2, (0, 2, 50, 200))
+    assert verify_triangulated_extension(cycle, (0, 2, 50, 200))
+    assert not verify_triangulated_extension(cycle, (0, 2, 15, 200))
 
 
 def test_triangulation_splines_satisfy_chords(rng):
@@ -198,7 +201,7 @@ def test_triangulation_splines_satisfy_chords(rng):
         cycle = random_cycle(rng, n_range=(3, 8), label_range=(1, 30))
         for k in range(cycle.n):
             h = triangulation_spline(cycle, k)
-            assert verify_triangulated_extension(cycle, k, h)
+            assert verify_triangulated_extension(cycle, h)
 
 
 # ------------------------------------------------------- basis condition

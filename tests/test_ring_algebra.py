@@ -211,6 +211,13 @@ def test_triangulation_table_always_reconstructs(labels):
 # --------------------------------------------------------- generic products
 
 
+def test_product_in_basis_index_bounds():
+    basis = triangulation_basis(EdgeLabeledCycle((2, 5, 3)))
+    for i, j in ((0, 3), (3, 0), (-1, 1)):
+        with pytest.raises(IndexError, match=r"indices must be in \[0, 2\]"):
+            product_in_basis(basis, i, j)
+
+
 def test_product_in_basis_on_longer_cycles():
     cycle = EdgeLabeledCycle((2, 6, 15, 10))
     basis = triangulation_basis(cycle)

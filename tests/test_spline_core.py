@@ -167,6 +167,19 @@ def test_spline_length_mismatch():
         Spline((1, 2)) * Spline((1, 2, 3))
 
 
+def test_spline_arithmetic_with_non_splines_is_a_type_error():
+    # the operators return NotImplemented, which Python turns into TypeError
+    s = Spline((0, 2, 12))
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+"):
+        s + 1
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -"):
+        s - 1
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+        s * 1.5
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*"):
+        1.5 * s
+
+
 def test_spline_rejects_floats():
     with pytest.raises(TypeError):
         Spline((1.5, 2, 3))
