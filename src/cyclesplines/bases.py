@@ -15,12 +15,14 @@ representatives per step (pinned, or least positive); king has constant
 middle runs.  All three are closed forms and work at any n.
 
 The builders find each element's jumps, the positions and values of its
-nonzero first differences, and lay its entries out from them run by run,
-so an element costs O(n) C-level work plus O(change steps) Python work:
-one per chain step that can change an entry, and none for king.  Every
-Spline carries its jumps, and certifying a basis with
-:func:`check_flow_up_basis` reads only those, so it costs O(jumps) per
-element, a few each, whatever n is.
+nonzero first differences, and make the element from n and those alone,
+so an element costs O(change steps) Python work: one per chain step that
+can change an entry, and none for king.  Its entries are laid out from the
+jumps, run by run, only when something reads them.  Every Spline carries
+its jumps, and certifying a basis with :func:`check_flow_up_basis` reads
+only those, as do the leading entries, decomposition and products, so
+each costs O(jumps) per element, a few each, whatever n is, and lays out
+no element.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Optional, Sequence
 
 from .errors import KingPreconditionError, _dataclass_repr, _int_text
@@ -112,7 +116,8 @@ class FlowUpBasis:
     jumps: slot k holds the (positions, values) of the nonzero first
     differences of element k, in ascending position order, the first being
     (k, leading entry).  It is read off the elements, which carry their
-    jumps, so the two cannot disagree.
+    jumps, so the two cannot disagree.  ``_levels``, the running sums of
+    each element's jump values, is made on first use by the products.
     """
 
     cycle: EdgeLabeledCycle
@@ -136,13 +141,20 @@ class FlowUpBasis:
     def __getitem__(self, k: int) -> Spline:
         return self.elements[k]
 
+    @cached_property
+    def _levels(self) -> tuple[tuple[int, ...], ...]:
+        # slot k holds element k's prefix levels: its entry at each of its
+        # jump positions, the running sums of its jump values
+        return tuple(tuple(accumulate(values)) for _, values in self._jumps)
+
     @property
     def symbol(self) -> str:
         """One-letter name used when printing elements (H, K, or G)."""
         return _SYMBOLS[self.kind]
 
     def leading_entries(self) -> tuple[int, ...]:
-        return tuple(el.entries[k] for k, el in enumerate(self.elements))
+        # element k's first jump is at position k, so its value is the lead
+        return tuple(values[0] for _, values in self._jumps)
 
 
 def triangulation_basis(cycle: EdgeLabeledCycle) -> FlowUpBasis:
@@ -231,12 +243,13 @@ def check_flow_up_basis(
     leading entry is plus or minus m_k, read from the cycle's chain steps.
 
     Every check reads the candidates' jumps (see :class:`Spline`): a
-    candidate's leading-zero count is its first jump position, edge p < n
-    holds exactly when the jump at position p is divisible by label p, and
-    candidate 0 is all ones up to sign exactly when its one jump is +-1.
-    Only the wrap edge reads two entries, so a candidate costs O(jumps),
-    whatever n is.  A failing candidate is reported by its first violated
-    edge.
+    candidate's leading-zero count is its first jump position and its
+    leading entry the value of that jump, edge p < n holds exactly when the
+    jump at position p is divisible by label p, the wrap edge compares the
+    first jump's value with the sum of them all, and candidate 0 is all ones
+    up to sign exactly when its one jump is +-1.  So a candidate costs
+    O(jumps), whatever n is, and no entries are laid out.  A failing
+    candidate is reported by its first violated edge.
     """
     n = cycle.n
     cands = _check_flow_up_family(candidates, n, "candidate", cycle)
@@ -248,11 +261,11 @@ def check_flow_up_basis(
                 0,
                 "must be the all-ones spline up to sign",
                 expected=1,
-                actual=cands[0].entries[0],
+                actual=values[0],
             )
         )
     for k, (_, want) in enumerate(cycle._chain_steps, start=1):
-        got = cands[k].entries[k]
+        got = cands[k]._jumps[1][0]
         if abs(got) != want:
             defects.append(
                 BasisDefect(

@@ -276,4 +276,5 @@ def check_basis_by_definition(graph: GraphLike, candidates: Sequence[SplineLike]
     each is plus or minus its pivot.  No search, box or budget.
     """
     cands = _check_flow_up_family(candidates, vertex_count(graph), "candidate", graph)
-    return [abs(cand.entries[i]) for i, cand in enumerate(cands)] == _lattice_pivots(graph)
+    # candidate i's first jump is at position i, so its value is the lead
+    return [abs(cand._jumps[1][0]) for cand in cands] == _lattice_pivots(graph)

@@ -6,11 +6,12 @@ front to back by exact division (forward substitution).  Peeling and
 combining work on first differences: king elements are constant runs and
 triangulation entries repeat wherever the chain multiplier is 1, so each
 element has few nonzero differences ("jumps").  Every Spline carries its
-jumps and a basis keeps its elements' in ``FlowUpBasis._jumps``, so
-nothing here scans entries for them.  The one peel keeps only the nonzero
-differences, by position, so a step costs one per jump and never one per
-position: a product of two elements, which differs only at their jumps,
-costs O(jumps) whatever n is, and a table n² times that.
+jumps and a basis keeps its elements' in ``FlowUpBasis._jumps``, and their
+running sums in ``FlowUpBasis._levels``, so nothing here reads an element's
+entries, and a built element is never laid out.  The one peel keeps only
+the nonzero differences, by position, so a step costs one per jump and
+never one per position: a product of two elements, which differs only at
+their jumps, costs O(jumps) whatever n is, and a table n² times that.
 On top of that this module provides the closed-form products of king
 basis elements, the closed-form three-cycle table in the triangulation
 basis, and a generic product path (componentwise multiply, then
@@ -20,7 +21,7 @@ check each cell once, against the peel of the componentwise product.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from typing import Callable, Sequence
@@ -95,17 +96,46 @@ def _product_differences(basis: FlowUpBasis, i: int, j: int) -> dict[int, int]:
     ascending order, over the jump positions of the two elements from
     max(i, j) on.  Before that the later element is zero, and so is the
     product; where neither element jumps, both factors repeat their
-    previous entry, and so does the product."""
-    elements, jumps = basis.elements, basis._jumps
-    e, f = elements[i].entries, elements[j].entries
-    start = max(i, j)
+    previous entry, and so does the product.
+
+    The two elements' jump positions are merged from max(i, j) on, each
+    factor's entry read off its prefix levels (``FlowUpBasis._levels``)
+    where it jumps and kept where it does not, so no entry is read and no
+    Spline attribute either: O(jumps) steps per product."""
+    if i > j:
+        i, j = j, i
+    jumps, levels = basis._jumps, basis._levels
+    positions, earlier = jumps[i][0], levels[i]
+    end, count = len(jumps), len(positions)
+    # element i's jumps from j on, one at a time; end once they run out
+    a = bisect_left(positions, j)
+    x = earlier[a - 1] if a else 0
+    p = positions[a] if a < count else end
     differences = {}
-    previous = 0
-    for p in sorted({*jumps[i][0], *jumps[j][0]}):
-        if p >= start:
-            product = e[p] * f[p]
+    previous = y = 0
+    for q, level in zip(jumps[j][0], levels[j]):
+        while p < q:
+            x = earlier[a]
+            a += 1
+            product = x * y
             differences[p] = product - previous
             previous = product
+            p = positions[a] if a < count else end
+        if p == q:
+            x = earlier[a]
+            a += 1
+            p = positions[a] if a < count else end
+        y = level
+        product = x * y
+        differences[q] = product - previous
+        previous = product
+    while p < end:
+        x = earlier[a]
+        a += 1
+        product = x * y
+        differences[p] = product - previous
+        previous = product
+        p = positions[a] if a < count else end
     return differences
 
 

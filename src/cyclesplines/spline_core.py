@@ -161,13 +161,17 @@ class Spline:
     multiplication when the other operand is an int and vertex-wise
     (pointwise) multiplication when it is another Spline.
 
-    Every Spline also carries its jumps in a private slot, ``_jumps``: the
-    (positions, values) of its nonzero first differences in ascending
-    position order, entry -1 read as 0.  They are derived from the entries
-    and take no part in the repr, equality, hashing or pickling.
+    Every Spline also carries its length and its jumps in private slots,
+    ``_n`` and ``_jumps``: the (positions, values) of its nonzero first
+    differences in ascending position order, entry -1 read as 0.  They take
+    no part in the repr, equality, hashing or pickling.  A Spline made from
+    entries scans its jumps off them.  The builders' elements are made from
+    n and their jumps alone, and lay their ``entries`` out the first time
+    they are read (see :func:`_spline_from_jumps`): certifying, decomposing
+    and multiplying read only the jumps, so they never do.
     """
 
-    __slots__ = ("entries", "_jumps")
+    __slots__ = ("entries", "_jumps", "_n")
     entries: tuple[int, ...]
     __repr__ = _dataclass_repr
 
@@ -175,7 +179,7 @@ class Spline:
         self.__setstate__([_as_int_tuple(self.entries, "spline entries")])
 
     # pickles hold the entries alone, in the state slots=True wrote; every
-    # construction but the builders' fills both slots here
+    # construction but the builders' fills all three slots here
     def __getstate__(self) -> list:
         return [self.entries]
 
@@ -183,9 +187,19 @@ class Spline:
         (entries,) = state
         _set_entries(self, entries)
         _set_jumps(self, _jumps_of(entries))
+        _set_n(self, len(entries))
+
+    def __getattr__(self, name: str) -> tuple[int, ...]:
+        # reached only when a slot is unset: the entries of a built element,
+        # laid out from its jumps on first read and then kept
+        if name != "entries":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = _lay_out(self._n, *self._jumps)
+        _set_entries(self, entries)
+        return entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._n
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.entries)
@@ -194,10 +208,8 @@ class Spline:
         return self.entries[index]
 
     def _match(self, other: "Spline") -> None:
-        if len(self.entries) != len(other.entries):
-            raise DimensionError(
-                f"spline lengths differ: {len(self.entries)} vs {len(other.entries)}"
-            )
+        if self._n != other._n:
+            raise DimensionError(f"spline lengths differ: {self._n} vs {other._n}")
 
     def __add__(self, other: "Spline") -> "Spline":
         if not isinstance(other, Spline):
@@ -237,6 +249,7 @@ def _jumps_of(entries: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...
 # the slots' own setters, which the frozen __setattr__ does not guard
 _set_entries = Spline.entries.__set__
 _set_jumps = Spline._jumps.__set__
+_set_n = Spline._n.__set__
 
 
 def _trusted_spline(entries: tuple[int, ...]) -> Spline:
@@ -248,8 +261,17 @@ def _trusted_spline(entries: tuple[int, ...]) -> Spline:
 
 
 def _spline_from_jumps(n: int, positions: tuple[int, ...], values: tuple[int, ...]) -> Spline:
-    """The Spline with n entries whose jumps are (positions, values), laid
-    out run by run: O(n) C-level work and O(jumps) Python steps."""
+    """The Spline with n entries whose jumps are (positions, values), in
+    O(1): its entries are laid out by :func:`_lay_out` when first read."""
+    spline = object.__new__(Spline)
+    _set_jumps(spline, (positions, values))
+    _set_n(spline, n)
+    return spline
+
+
+def _lay_out(n: int, positions: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
+    """The n entries whose jumps are (positions, values), laid out run by
+    run: O(n) C-level work and O(jumps) Python steps."""
     jumps = zip(positions, values)
     start, h = next(jumps, (n, 0))
     entries = [0] * start
@@ -258,10 +280,7 @@ def _spline_from_jumps(n: int, positions: tuple[int, ...], values: tuple[int, ..
         h += v
         start = p
     entries += [h] * (n - start)
-    spline = object.__new__(Spline)
-    _set_entries(spline, tuple(entries))
-    _set_jumps(spline, (positions, values))
-    return spline
+    return tuple(entries)
 
 
 GraphLike = Union[EdgeLabeledCycle, EdgeLabeledGraph]
@@ -322,21 +341,27 @@ def _violations(graph: GraphLike, spline: SplineLike, skip: int = 0) -> Iterator
 
     On a cycle the first ``skip`` edges are taken to hold.  Edge p < n joins
     vertices p and p + 1, so it holds exactly when the jump at 0-based
-    position p, if any, is divisible by its label: only the jumps are read,
-    and the two entries of a failing edge.  Edge n wraps from vertex n to
-    vertex 1 and is reduced last.  A general graph has every edge reduced.
+    position p, if any, is divisible by its label.  Edge n wraps from vertex
+    n to vertex 1 and is reduced last: entry 1 is the jump at position 0, or
+    0, and entry n the sum of the jumps.  Only the jumps are read, and the
+    two entries of a failing edge p < n.  A general graph has every edge
+    reduced.
     """
     spline = _as_spline(spline)
-    entries = spline.entries
     if isinstance(graph, EdgeLabeledCycle):
         labels = graph.labels
-        for p, jump in zip(*spline._jumps):
+        positions, values = spline._jumps
+        for p, jump in zip(positions, values):
             if p > skip and jump % labels[p - 1]:
+                entries = spline.entries
                 yield EdgeViolation(p, p, p + 1, labels[p - 1], entries[p - 1], entries[p])
-        n = len(entries)
-        if (entries[n - 1] - entries[0]) % labels[n - 1]:
-            yield EdgeViolation(n, n, 1, labels[n - 1], entries[n - 1], entries[0])
+        n = spline._n
+        first = values[0] if positions and not positions[0] else 0
+        last = sum(values)
+        if (last - first) % labels[n - 1]:
+            yield EdgeViolation(n, n, 1, labels[n - 1], last, first)
         return
+    entries = spline.entries
     for i, u, v, lab in labeled_edges(graph):
         if (entries[u - 1] - entries[v - 1]) % lab:
             yield EdgeViolation(i, u, v, lab, entries[u - 1], entries[v - 1])
@@ -391,17 +416,18 @@ def _check_flow_up_family(
     Member k's leading-zero count is its first jump position.  On a cycle,
     its congruences are tested on edges k..n only (edges 1..n for member
     0): each of edges 1..k-1 joins two of its leading zeros and holds.  Edge
-    k is tested at the leading jump and edge n by its two end entries, and
-    only the jumps are read, stopping at the first violation, which the
-    message names (see :func:`_violations`).  So a member costs O(jumps),
-    whatever n is.  General graphs are checked on every edge.
+    k is tested at the leading jump and edge n by the end entries its jumps
+    give, and only the jumps are read, stopping at the first violation,
+    which the message names (see :func:`_violations`).  So a member costs
+    O(jumps), whatever n is, and a built element is never laid out.  General
+    graphs are checked on every edge.
     """
     family = tuple(map(_as_spline, members))
     if len(family) != n:
         raise BasisStructureError(f"expected {n} {noun}s, got {len(family)}")
     for k, member in enumerate(family):
-        if len(member.entries) != n:
-            raise BasisStructureError(f"{noun} {k} has {len(member.entries)} entries, expected {n}")
+        if len(member) != n:
+            raise BasisStructureError(f"{noun} {k} has {len(member)} entries, expected {n}")
         positions = member._jumps[0]
         if not positions or positions[0] != k:
             raise BasisStructureError(

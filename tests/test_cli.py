@@ -25,7 +25,7 @@ from cyclesplines import (
     smallest_basis,
     triangulation_basis,
 )
-from cyclesplines import cli, oracle
+from cyclesplines import cli, oracle, spline_core
 from cyclesplines.cli import main
 
 
@@ -308,6 +308,27 @@ def test_oracle_check_basis_kind(capsys):
     )
     assert code == 0
     assert payload == {"ok": True}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("oracle", "check-basis", "--kind", "triangulation"),
+        ("oracle", "check-basis", "--kind", "king"),
+        ("oracle", "check-basis", "--kind", "smallest"),
+        ("multiply", "--kind", "triangulation", "--i", "3", "--j", "250"),
+        ("decompose", "--kind", "smallest", "--labels", ",".join(["1"] * 300)),
+    ],
+)
+def test_commands_that_read_no_entries_lay_out_no_element(capsys, monkeypatch, command):
+    # certifying, multiplying and decomposing read the elements' jumps only
+    def lay_out(*args):
+        raise AssertionError("an element was laid out")
+
+    monkeypatch.setattr(spline_core, "_lay_out", lay_out)
+    cycle = ",".join(str(i % 29 + 1) for i in range(300))
+    code, out, err = run(capsys, *command, "--cycle", cycle)
+    assert (code, err) == (0, "") and out
 
 
 def test_oracle_check_basis_candidates_failing(capsys):

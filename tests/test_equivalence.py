@@ -520,6 +520,51 @@ def test_jump_prefix_sums_reproduce_every_element(basis):
         assert tuple(accumulate(differences)) == element.entries
 
 
+def laid_out(spline):
+    """Whether the entries slot is set, read past the layout-on-read hook."""
+    try:
+        Spline.entries.__get__(spline)
+    except AttributeError:
+        return False
+    return True
+
+
+def lazy_twin(n, jumps):
+    return spline_core._spline_from_jumps(n, *jumps)
+
+
+def pickle_round_trip(spline):
+    return pickle.loads(pickle.dumps(spline))
+
+
+@given(bases_of_every_kind())
+def test_lazily_laid_out_elements_match_the_per_entry_reference(basis):
+    n = len(basis)
+    # a custom basis holds one negated element, made from entries
+    fresh = basis.kind != "custom"
+    for k, element in enumerate(basis):
+        jumps = basis._jumps[k]
+        # entry p sums the jumps at positions up to p, one entry at a time
+        reference = tuple(sum(v for q, v in zip(*jumps) if q <= p) for p in range(n))
+        assert len(element) == n
+        assert not (fresh and laid_out(element))
+        # the first read of a fresh element is the pickling itself
+        first = pickle.dumps(element)
+        assert laid_out(element) and element.entries == reference
+        assert pickle.dumps(element) == first == pickle.dumps(Spline(reference))
+        assert element == Spline(reference) and hash(element) == hash(Spline(reference))
+        assert repr(element) == repr(Spline(reference))
+        for make_twin in (copy.copy, copy.deepcopy, dataclasses.replace, pickle_round_trip):
+            lazy = lazy_twin(n, jumps)
+            twin = make_twin(lazy)
+            assert type(twin) is Spline and laid_out(twin)
+            assert twin.entries == lazy.entries == reference
+            assert twin._jumps == jumps and len(twin) == n
+            assert twin == lazy and hash(twin) == hash(lazy)
+        with pytest.raises(AttributeError, match="'Spline' object has no attribute 'missing'"):
+            lazy_twin(n, jumps).missing
+
+
 @given(bases_of_every_kind(), st.data())
 def test_first_differences_match_the_dense_peel(basis, data):
     n = len(basis)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_king_cycle
+from conftest import random_cycle, random_king_cycle
 from cyclesplines import (
     DimensionError,
     EdgeLabeledCycle,
@@ -16,7 +16,9 @@ from cyclesplines import (
     NotInSpanError,
     ProductDecomposition,
     Spline,
+    check_flow_up_basis,
     decompose,
+    is_spline,
     king_basis,
     king_multiplication_table,
     king_product,
@@ -24,11 +26,12 @@ from cyclesplines import (
     product_in_basis,
     reconstruct,
     smallest_basis,
+    smallest_leading_entry,
     triangulation_basis,
     triangulation_table_3cycle,
     trivial_spline,
 )
-from cyclesplines import ring_algebra
+from cyclesplines import ring_algebra, spline_core
 
 desk_labels = st.lists(st.integers(min_value=1, max_value=12), min_size=3, max_size=6)
 coefficients = st.integers(min_value=-(10**6), max_value=10**6)
@@ -154,6 +157,30 @@ def test_king_table_at_scale_matches_king_product(rng):
     for i, row in enumerate(table):
         for j, cell in enumerate(row):
             assert cell == king_product(cycle, i, j)
+
+
+def test_ten_thousand_vertices_need_no_element_laid_out(rng, monkeypatch):
+    # built, certified, read for its leads and used to decompose and to
+    # multiply from its elements' jumps alone
+    def lay_out(*args):
+        raise AssertionError("an element was laid out")
+
+    monkeypatch.setattr(spline_core, "_lay_out", lay_out)
+    cycle = random_cycle(rng, n_range=(10_000, 10_000))
+    n = cycle.n
+    basis = triangulation_basis(cycle)
+    assert len(basis) == n and all(len(element) == n for element in basis)
+    assert check_flow_up_basis(cycle, basis.elements)
+    leads = (1, *(smallest_leading_entry(cycle, k) for k in range(1, n)))
+    assert basis.leading_entries() == leads
+    coefficients = tuple(rng.randint(-9, 9) for _ in range(n))
+    spline = reconstruct(coefficients, basis)
+    assert is_spline(cycle, spline)
+    assert decompose(spline, basis) == coefficients
+    cell = product_in_basis(basis, 7000, 3)
+    monkeypatch.undo()
+    assert (cell.i, cell.j) == (3, 7000)
+    assert cell.reconstruct(basis) == basis[3] * basis[7000]
 
 
 def test_product_cells_have_no_instance_dict_and_survive_pickle_and_deepcopy():
